@@ -3,7 +3,7 @@ uplink over a geometry-based air-ground channel."""
 
 from .config import ScenarioConfig
 from .decoders import DecodeOutcome, gsa, lgsa, ssa
-from .montecarlo import OutageEstimate, TrialPlan, run_sweep, run_trial
+from .montecarlo import OutageEstimate, run_sweep, run_trial
 from .rates import MultCounter, RateEvaluator, brute_force_eval_count, group_rate
 
 __all__ = [
@@ -12,7 +12,6 @@ __all__ = [
     "ssa",
     "gsa",
     "lgsa",
-    "TrialPlan",
     "OutageEstimate",
     "run_trial",
     "run_sweep",

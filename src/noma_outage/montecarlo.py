@@ -7,6 +7,12 @@ map, rate draws, and the random decoding order, so results are bit-identical
 for any worker count.  All algorithms within a trial see the same channel
 matrix (common random numbers) and share one capacity cache; each carries its
 own multiplication counter.
+
+A sweep evaluates every trial at a list of sweep points (K, r_G).  Aircraft
+and variable rates are drawn one after another from their streams, so the
+channel and rates of K aircraft are the first K columns and entries of the
+largest K's; each trial builds one channel, at the largest K, and every point
+reads a prefix of it.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import sqrt
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -24,32 +30,6 @@ from .config import EQUAL_RATE, VARIABLE_RATE, ScenarioConfig, parse_algorithm
 from .decoders import DecodeOutcome
 from .geometry import ReflectorMap, ScenarioGeometry, build_reflector_map, scenario_geometry
 from .rates import MultCounter, RateEvaluator
-
-
-@dataclass(frozen=True)
-class TrialPlan:
-    """Sweep description: scenario, trial budget, and algorithm selection."""
-
-    cfg: ScenarioConfig
-
-    def __post_init__(self) -> None:
-        self.cfg.validate()
-
-    @property
-    def trials(self) -> int:
-        return self.cfg.trials
-
-    @property
-    def master_seed(self) -> int:
-        return self.cfg.master_seed
-
-    @property
-    def mode(self) -> str:
-        return self.cfg.rate_mode
-
-    @property
-    def algorithms(self) -> tuple[str, ...]:
-        return self.cfg.algorithms
 
 
 @dataclass(frozen=True)
@@ -123,18 +103,29 @@ def draw_variable_rates(cfg: ScenarioConfig, trial_index: int) -> np.ndarray:
     return rng.uniform(cfg.r_g, cfg.r_max, size=cfg.k_aircraft)
 
 
-def _random_order(cfg: ScenarioConfig, trial_index: int) -> tuple[int, ...]:
+def _random_order(cfg: ScenarioConfig, trial_index: int, k: int) -> tuple[int, ...]:
     _, _, _, order_ss = _trial_seeds(cfg, trial_index)
     rng = np.random.default_rng(order_ss)
-    return tuple(int(i) for i in rng.permutation(cfg.k_aircraft))
+    return tuple(int(i) for i in rng.permutation(k))
 
 
-def _order_outcome(ev, rates, order, gamma, eps) -> DecodeOutcome:
+def _one_at_a_time(name, ev, h, rates, gamma, random_order, eps) -> DecodeOutcome:
+    """ISU or a fixed-order SIC baseline; the plan lists the decoded aircraft
+    one by one, in decode order (index order for ISU)."""
     counter = MultCounter()
-    decoded = decoders.decode_with_order(ev, rates, order, gamma, counter=counter, eps=eps)
+    if name == "ISU":
+        decoded = decoders.isu_set(ev, rates, gamma, counter=counter, eps=eps)
+        order = sorted(decoded)
+    else:
+        if name == "SIC_RANDOM":
+            order = random_order
+        elif name == "SIC_CGTR":
+            order = decoders.cgtr_order(h, rates)
+        else:  # SIC_VBLAST: the ordering's own evaluations are counted too
+            order = decoders.vblast_order(ev, rates, gamma, counter=counter)
+        decoded = decoders.decode_with_order(ev, rates, order, gamma, counter=counter, eps=eps)
     plan = tuple((i,) for i in order if i in decoded)
-    outage = frozenset(range(ev.k)) - decoded
-    return DecodeOutcome(decoded, outage, frozenset(), plan, counter.total)
+    return DecodeOutcome(decoded, frozenset(range(ev.k)) - decoded, frozenset(), plan, counter.total)
 
 
 def run_algorithms(
@@ -157,26 +148,8 @@ def run_algorithms(
             results[token] = decoders.gsa(ev, rates, gamma, eps=eps)
         elif name == "LGSA":
             results[token] = decoders.lgsa(ev, rates, gamma, v_max, eps=eps)
-        elif name == "ISU":
-            counter = MultCounter()
-            decoded = decoders.isu_set(ev, rates, gamma, counter=counter, eps=eps)
-            plan = tuple((i,) for i in sorted(decoded))
-            results[token] = DecodeOutcome(
-                decoded, frozenset(range(ev.k)) - decoded, frozenset(), plan, counter.total
-            )
-        elif name == "SIC_RANDOM":
-            results[token] = _order_outcome(ev, rates, random_order, gamma, eps)
-        elif name == "SIC_CGTR":
-            order = decoders.cgtr_order(h, rates)
-            results[token] = _order_outcome(ev, rates, order, gamma, eps)
-        elif name == "SIC_VBLAST":
-            counter = MultCounter()
-            order = decoders.vblast_order(ev, rates, gamma, counter=counter)
-            decoded = decoders.decode_with_order(ev, rates, order, gamma, counter=counter, eps=eps)
-            plan = tuple((i,) for i in order if i in decoded)
-            results[token] = DecodeOutcome(
-                decoded, frozenset(range(ev.k)) - decoded, frozenset(), plan, counter.total
-            )
+        else:
+            results[token] = _one_at_a_time(name, ev, h, rates, gamma, random_order, eps)
     return results
 
 
@@ -193,104 +166,72 @@ def run_trial(
         rates = np.full(cfg.k_aircraft, cfg.r_g_list[0] if r_g is None else float(r_g))
     ev = RateEvaluator(chan.h, gamma)
     return run_algorithms(
-        ev, chan.h, rates, gamma, cfg.algorithms, _random_order(cfg, trial_index),
+        ev, chan.h, rates, gamma, cfg.algorithms, _random_order(cfg, trial_index, cfg.k_aircraft),
         eps=cfg.comparison_epsilon,
     )
-
-
-def estimate(
-    trial_outcomes: Iterable[Mapping[str, DecodeOutcome]], k: int
-) -> dict[str, OutageEstimate]:
-    """Aggregate per-trial outcomes into one estimate per algorithm."""
-    decoded: dict[str, int] = {}
-    mults: dict[str, int] = {}
-    n_trials = 0
-    for per_alg in trial_outcomes:
-        n_trials += 1
-        for token, outcome in per_alg.items():
-            decoded[token] = decoded.get(token, 0) + outcome.n_decoded
-            mults[token] = mults.get(token, 0) + outcome.mult_count
-    if n_trials == 0:
-        raise ValueError("need at least one trial")
-    return {
-        token: OutageEstimate(token, k, n_trials, decoded[token], mults[token])
-        for token in decoded
-    }
 
 
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
 
-def _equal_rate_trial(args) -> list[dict[str, tuple[int, int]]]:
-    """Worker: one trial evaluated at every guaranteed rate of the sweep.
+def _sweep_points(cfg: ScenarioConfig) -> list[tuple[int, float]]:
+    """(K, r_G) of every sweep point, in configuration order."""
+    if cfg.rate_mode == EQUAL_RATE:
+        return [(cfg.k_aircraft, float(r_g)) for r_g in cfg.r_g_list]
+    return [(int(k), float(cfg.r_g)) for k in cfg.k_list]
 
-    The channel (and capacity cache) is shared across sweep points; only the
-    rate vector changes.  Returns per-point {token: (n_decoded, mults)}."""
+
+def _sweep_trial(args) -> list[dict[str, tuple[int, int]]]:
+    """Worker: one trial evaluated at every sweep point.
+
+    The channel (and, in variable-rate mode, the rate draw) is built once at
+    the largest K; a point with K aircraft runs on its first K columns and
+    rates, with its own evaluator and random order whenever K changes.
+    Returns per-point {token: (n_decoded, mults)}."""
     cfg, trial_index = args
-    chan = build_trial_channel(cfg, trial_index)
+    points = _sweep_points(cfg)
+    cfg_max = cfg.replace(k_aircraft=max(k for k, _ in points))
+    h_max = build_trial_channel(cfg_max, trial_index).h
     gamma = LinkBudget.from_config(cfg).snr_linear
-    ev = RateEvaluator(chan.h, gamma)
-    rand_order = _random_order(cfg, trial_index)
+    drawn = draw_variable_rates(cfg_max, trial_index) if cfg.rate_mode == VARIABLE_RATE else None
+    ev = None
     out = []
-    for r_g in cfg.r_g_list:
-        rates = np.full(cfg.k_aircraft, float(r_g))
+    for k, r_g in points:
+        h = h_max[:, :k]
+        if ev is None or ev.k != k:
+            ev = RateEvaluator(h, gamma)
+            rand_order = _random_order(cfg, trial_index, k)
+        rates = np.full(k, r_g) if drawn is None else drawn[:k]
         res = run_algorithms(
-            ev, chan.h, rates, gamma, cfg.algorithms, rand_order, eps=cfg.comparison_epsilon
+            ev, h, rates, gamma, cfg.algorithms, rand_order, eps=cfg.comparison_epsilon
         )
         out.append({tok: (o.n_decoded, o.mult_count) for tok, o in res.items()})
     return out
 
 
-def _variable_rate_trial(args) -> dict[str, tuple[int, int]]:
-    cfg, trial_index = args
-    res = run_trial(cfg, trial_index)
-    return {tok: (o.n_decoded, o.mult_count) for tok, o in res.items()}
-
-
-def _map_trials(worker, tasks, threads: int):
+def _map_trials(tasks, threads: int):
     if threads <= 1:
-        return [worker(t) for t in tasks]
+        return [_sweep_trial(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=threads) as pool:
         chunk = max(1, len(tasks) // (8 * threads))
-        return list(pool.map(worker, tasks, chunksize=chunk))
+        return list(pool.map(_sweep_trial, tasks, chunksize=chunk))
 
 
-def run_sweep(plan: TrialPlan | ScenarioConfig, threads: int | None = None) -> list[SweepRow]:
+def run_sweep(cfg: ScenarioConfig, threads: int | None = None) -> list[SweepRow]:
     """Run the configured sweep; one row per (algorithm, sweep point).
 
     Aggregation is an order-insensitive integer reduction, so the result is
     identical for any worker count."""
-    cfg = plan.cfg if isinstance(plan, TrialPlan) else plan
     cfg.validate()
     n_threads = cfg.threads if threads is None else threads
+    per_trial = _map_trials([(cfg, i) for i in range(cfg.trials)], n_threads)
     rows: list[SweepRow] = []
-    if cfg.rate_mode == EQUAL_RATE:
-        tasks = [(cfg, i) for i in range(cfg.trials)]
-        per_trial = _map_trials(_equal_rate_trial, tasks, n_threads)
-        for j, r_g in enumerate(cfg.r_g_list):
-            agg_dec: dict[str, int] = {tok: 0 for tok in cfg.algorithms}
-            agg_mul: dict[str, int] = {tok: 0 for tok in cfg.algorithms}
-            for res in per_trial:
-                for tok, (ndec, mul) in res[j].items():
-                    agg_dec[tok] += ndec
-                    agg_mul[tok] += mul
-            for tok in cfg.algorithms:
-                est = OutageEstimate(tok, cfg.k_aircraft, cfg.trials, agg_dec[tok], agg_mul[tok])
-                rows.append(SweepRow(tok, cfg.k_aircraft, float(r_g), cfg.rate_mode, est, cfg.master_seed))
-    else:
-        for k in cfg.k_list:
-            cfg_k = cfg.replace(k_aircraft=int(k))
-            tasks = [(cfg_k, i) for i in range(cfg.trials)]
-            per_trial = _map_trials(_variable_rate_trial, tasks, n_threads)
-            agg_dec = {tok: 0 for tok in cfg.algorithms}
-            agg_mul = {tok: 0 for tok in cfg.algorithms}
-            for res in per_trial:
-                for tok, (ndec, mul) in res.items():
-                    agg_dec[tok] += ndec
-                    agg_mul[tok] += mul
-            for tok in cfg.algorithms:
-                est = OutageEstimate(tok, int(k), cfg.trials, agg_dec[tok], agg_mul[tok])
-                rows.append(SweepRow(tok, int(k), float(cfg.r_g), cfg.rate_mode, est, cfg.master_seed))
+    for j, (k, r_g) in enumerate(_sweep_points(cfg)):
+        for tok in cfg.algorithms:
+            decoded = sum(res[j][tok][0] for res in per_trial)
+            mults = sum(res[j][tok][1] for res in per_trial)
+            est = OutageEstimate(tok, k, cfg.trials, decoded, mults)
+            rows.append(SweepRow(tok, k, r_g, cfg.rate_mode, est, cfg.master_seed))
     rows.sort(key=lambda row: (row.algorithm, row.k, row.r_g))
     return rows

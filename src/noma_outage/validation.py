@@ -64,10 +64,11 @@ def random_instance(rng: np.random.Generator, k_max: int = 5, m_choices=(2, 4, 8
     return h, r, gamma
 
 
-def check_instance(h, r, gamma, mutation_eps: float = 0.0) -> list[tuple[str, str]]:
+def check_instance(h, r, gamma, mutation_eps: float = 0.0) -> tuple[list[tuple[str, str]], int]:
     """All decoder invariants plus oracle equalities on one instance.
 
-    Returns a list of (kind, detail) violations, empty when everything holds.
+    Returns the list of (kind, detail) violations, empty when everything
+    holds, and the size of the oracle's maximum decodable set.
     """
     problems: list[tuple[str, str]] = []
     k = h.shape[1]
@@ -119,7 +120,7 @@ def check_instance(h, r, gamma, mutation_eps: float = 0.0) -> list[tuple[str, st
         problems.append(("containment", "SSA/LGSA/GSA size chain violated"))
     if res_lk.decoded != res_gsa.decoded or res_lk.outage != res_gsa.outage:
         problems.append(("containment", "LGSA with v_max=K differs from GSA"))
-    return problems
+    return problems, len(max_set)
 
 
 def run_validation(seed: int, instances: int, mutation_eps: float = 0.0) -> ValidationReport:
@@ -129,8 +130,7 @@ def run_validation(seed: int, instances: int, mutation_eps: float = 0.0) -> Vali
     report = ValidationReport(instances=instances)
     for idx in range(instances):
         h, r, gamma = random_instance(rng)
-        problems = check_instance(h, r, gamma, mutation_eps)
-        n_dec = len(decoders.gsa(h, r, gamma).decoded)
+        problems, n_dec = check_instance(h, r, gamma, mutation_eps)
         k = h.shape[1]
         bucket = "all" if n_dec == k else ("none" if n_dec == 0 else "partial")
         report.decoded_histogram[bucket] = report.decoded_histogram.get(bucket, 0) + 1

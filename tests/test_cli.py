@@ -3,6 +3,7 @@ import json
 import pytest
 import yaml
 
+from noma_outage import decoders
 from noma_outage.cli import main, rows_to_csv
 from noma_outage.config import (
     ScenarioConfig,
@@ -12,6 +13,7 @@ from noma_outage.config import (
     save_config,
 )
 from noma_outage.montecarlo import run_sweep
+from noma_outage.validation import run_validation
 
 SMALL_YAML = dict(
     k_aircraft=4,
@@ -209,6 +211,21 @@ def test_validate_detects_injected_fault(capsys):
 
 def test_validate_rejects_zero_instances(capsys):
     assert main(["validate", "--instances", "0"]) == 1
+
+
+def test_validate_runs_gsa_once_per_instance(monkeypatch):
+    calls = []
+    gsa = decoders.gsa
+
+    def counted_gsa(*args, **kwargs):
+        calls.append(args)
+        return gsa(*args, **kwargs)
+
+    monkeypatch.setattr(decoders, "gsa", counted_gsa)
+    report = run_validation(seed=3, instances=20)
+    assert report.passed
+    assert sum(report.decoded_histogram.values()) == 20
+    assert len(calls) == 20
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from noma_outage.config import ScenarioConfig
-from noma_outage.decoders import DecodeOutcome
+from noma_outage.config import ConfigError, ScenarioConfig
 from noma_outage.montecarlo import (
     OutageEstimate,
-    TrialPlan,
+    build_trial_channel,
     build_trial_geometry,
     draw_variable_rates,
-    estimate,
     run_sweep,
     run_trial,
 )
@@ -48,43 +46,34 @@ def test_variable_rate_draws_in_range_and_deterministic():
     assert not np.array_equal(r1, draw_variable_rates(cfg, 6))
 
 
-def _fake_outcome(decoded, k, mults=10):
-    dec = frozenset(decoded)
-    return DecodeOutcome(dec, frozenset(range(k)) - dec, frozenset(), tuple((i,) for i in sorted(dec)), mults)
-
-
 def test_estimate_all_decoded():
-    trials = [{"SSA": _fake_outcome(range(4), 4)} for _ in range(5)]
-    est = estimate(trials, 4)["SSA"]
+    est = OutageEstimate("SSA", k=4, trials=5, decoded_total=20, mult_total=50)
     assert est.p_out == 0.0
     assert est.stderr == 0.0
     assert est.avg_mults == 10.0
 
 
 def test_estimate_none_decoded():
-    trials = [{"SSA": _fake_outcome((), 4)} for _ in range(5)]
-    assert estimate(trials, 4)["SSA"].p_out == 1.0
+    est = OutageEstimate("SSA", k=4, trials=5, decoded_total=0, mult_total=50)
+    assert est.p_out == 1.0
+    assert est.stderr == 0.0
 
 
 def test_estimate_half_decoded():
-    trials = [
-        {"SSA": _fake_outcome(range(4), 4)},
-        {"SSA": _fake_outcome((), 4)},
-    ]
-    est = estimate(trials, 4)["SSA"]
+    est = OutageEstimate("SSA", k=4, trials=2, decoded_total=4, mult_total=20)
     assert est.p_out == 0.5
     assert est.stderr == pytest.approx(np.sqrt(0.25 / 8.0))
-
-
-def test_estimate_requires_trials():
-    with pytest.raises(ValueError):
-        estimate([], 4)
 
 
 def test_outage_estimate_formula():
     est = OutageEstimate("SSA", k=8, trials=100, decoded_total=600, mult_total=1000)
     assert est.p_out == pytest.approx(1.0 - 600 / 800)
     assert est.stderr == pytest.approx(np.sqrt(est.p_out * (1 - est.p_out) / 800))
+
+
+def test_sweep_rejects_zero_trials():
+    with pytest.raises(ConfigError):
+        run_sweep(ScenarioConfig(k_aircraft=4, m_antennas=4, trials=0))
 
 
 def test_equal_rate_sweep_monotone_in_rate():
@@ -128,10 +117,41 @@ def test_variable_rate_sweep_rows_and_k_grid():
 
 
 def test_sweep_parallel_matches_serial():
-    cfg = SMALL.replace(trials=8)
-    serial = run_sweep(cfg, threads=1)
-    parallel = run_sweep(cfg, threads=2)
-    assert serial == parallel
+    equal = SMALL.replace(trials=8)
+    variable = equal.replace(rate_mode="variable_rate", k_list=(4, 2, 3))
+    for cfg in (equal, variable):
+        serial = run_sweep(cfg, threads=1)
+        parallel = run_sweep(cfg, threads=2)
+        assert serial == parallel, cfg.rate_mode
+
+
+def test_smaller_k_channel_and_rates_are_prefixes_of_largest():
+    # The sweep driver builds one channel per trial at the largest K and
+    # evaluates each smaller K on its first columns; this is why that is exact.
+    cfg = SMALL.replace(k_aircraft=6, rate_mode="variable_rate", k_list=(6,))
+    for idx in range(4):
+        h_max = build_trial_channel(cfg, idx).h
+        rates_max = draw_variable_rates(cfg, idx)
+        for k in range(1, 6):
+            cfg_k = cfg.replace(k_aircraft=k)
+            assert np.array_equal(build_trial_channel(cfg_k, idx).h, h_max[:, :k]), (idx, k)
+            assert np.array_equal(draw_variable_rates(cfg_k, idx), rates_max[:k]), (idx, k)
+
+
+def test_variable_rate_sweep_sums_per_k_trials():
+    cfg = SMALL.replace(rate_mode="variable_rate", k_list=(3, 1, 4), trials=4)
+    rows = run_sweep(cfg)
+    assert {(row.algorithm, row.k) for row in rows} == {
+        (tok, k) for tok in cfg.algorithms for k in cfg.k_list
+    }
+    per_k = {
+        k: [run_trial(cfg.replace(k_aircraft=k), i) for i in range(cfg.trials)] for k in cfg.k_list
+    }
+    for row in rows:
+        outcomes = [res[row.algorithm] for res in per_k[row.k]]
+        assert row.r_g == cfg.r_g
+        assert row.estimate.decoded_total == sum(o.n_decoded for o in outcomes), row
+        assert row.estimate.mult_total == sum(o.mult_count for o in outcomes), row
 
 
 def test_frozen_reflector_map_shared_across_trials():
@@ -143,11 +163,3 @@ def test_frozen_reflector_map_shared_across_trials():
     _, map_c = build_trial_geometry(cfg_free, 0)
     _, map_d = build_trial_geometry(cfg_free, 7)
     assert not np.array_equal(map_c.rects, map_d.rects)
-
-
-def test_trial_plan_wraps_config():
-    plan = TrialPlan(SMALL)
-    assert plan.trials == SMALL.trials
-    assert plan.mode == "equal_rate"
-    assert plan.master_seed == SMALL.master_seed
-    assert plan.algorithms == SMALL.algorithms
