@@ -4,7 +4,7 @@ uplink over a geometry-based air-ground channel."""
 from .config import ScenarioConfig
 from .decoders import DecodeOutcome, gsa, lgsa, ssa
 from .montecarlo import OutageEstimate, run_sweep, run_trial
-from .rates import MultCounter, RateEvaluator, brute_force_eval_count, group_rate
+from .rates import MultCounter, RateEvaluator, brute_force_eval_count
 
 __all__ = [
     "ScenarioConfig",
@@ -17,6 +17,5 @@ __all__ = [
     "run_sweep",
     "MultCounter",
     "RateEvaluator",
-    "group_rate",
     "brute_force_eval_count",
 ]

@@ -14,7 +14,6 @@ per element (spherical wavefront, no plane-wave approximation).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -22,8 +21,6 @@ import numpy as np
 
 from .config import GroundParams, ScenarioConfig
 from .geometry import (
-    EarthModel,
-    GeoPoint,
     ReflectorMap,
     ScenarioGeometry,
     _local_frame,
@@ -90,15 +87,6 @@ class ArrayLayout:
         return cls(m_antennas, wavelength_m / 2.0, upra_element_positions(m_antennas, wavelength_m))
 
 
-def los_channel(element_pos: np.ndarray, ac_pos: np.ndarray, wavelength_m: float) -> complex:
-    """Line-of-sight entry for one element/aircraft pair."""
-    d = float(np.linalg.norm(np.asarray(ac_pos, float) - np.asarray(element_pos, float)))
-    if d <= 0.0:
-        raise ValueError("element and aircraft positions must be distinct")
-    amp = wavelength_m / (4.0 * math.pi * d)
-    return amp * np.exp(-2j * math.pi * d / wavelength_m)
-
-
 def vertical_reflection_coefficient(
     grazing_rad: float, ground: GroundElectrical, carrier_hz: float
 ) -> complex:
@@ -117,22 +105,6 @@ def vertical_reflection_coefficient(
     cos2 = np.cos(grazing_rad) ** 2
     root = np.sqrt(eps - cos2)
     return (eps * sin_psi - root) / (eps * sin_psi + root)
-
-
-def gmp_channel(
-    element_pos: np.ndarray,
-    ac_pos: np.ndarray,
-    spec_xyz: np.ndarray,
-    rho_v: complex,
-    wavelength_m: float,
-) -> complex:
-    """Ground-multipath entry: reflected ray through the specular point."""
-    e = np.asarray(element_pos, float)
-    a = np.asarray(ac_pos, float)
-    s = np.asarray(spec_xyz, float)
-    d = float(np.linalg.norm(s - e) + np.linalg.norm(a - s))
-    amp = wavelength_m / (4.0 * math.pi * d)
-    return rho_v * amp * np.exp(-2j * math.pi * d / wavelength_m)
 
 
 @dataclass
@@ -216,21 +188,3 @@ def channel_matrix(
         rho_v=rho,
     )
 
-
-def dump_channel_csv(chan: ChannelMatrix, path: str) -> None:
-    """Debug dump with columns (m, k, re_hL, im_hL, re_hG, im_hG)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "k", "re_hL", "im_hL", "re_hG", "im_hG"])
-        for m in range(chan.m_antennas):
-            for k in range(chan.k_aircraft):
-                writer.writerow(
-                    [
-                        m,
-                        k,
-                        repr(float(chan.h_los[m, k].real)),
-                        repr(float(chan.h_los[m, k].imag)),
-                        repr(float(chan.h_gmp[m, k].real)),
-                        repr(float(chan.h_gmp[m, k].imag)),
-                    ]
-                )

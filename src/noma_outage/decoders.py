@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from itertools import islice as itertools_islice
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .rates import LOG2E, MultCounter, RateEvaluator, RateVector, _subset_conditions_hold
+from .rates import LOG2E, MultCounter, RateEvaluator, subset_conditions_hold
 
 ORACLE_MAX_SET_LIMIT = 12
 ORACLE_BEST_SIC_LIMIT = 8
@@ -43,12 +43,6 @@ class DecodeOutcome:
     @property
     def n_decoded(self) -> int:
         return len(self.decoded)
-
-
-def _rates_array(r) -> np.ndarray:
-    if isinstance(r, RateVector):
-        return r.asarray()
-    return np.asarray(r, dtype=float)
 
 
 def _as_evaluator(h, gamma: float) -> RateEvaluator:
@@ -167,7 +161,7 @@ def _scan_groups_of_size(ev, r, l_set, s_hat, v, counter, eps):
                 counter.add(cost_full * (int(j) + 1 - scanned))
             scanned = int(j) + 1
             t_c = (l_set | s_hat) - set(cand)
-            if _subset_conditions_hold(ev, r, cand, t_c, counter, eps, skip_full=True):
+            if subset_conditions_hold(ev, r, cand, t_c, counter, eps, skip_full=True):
                 return cand
         if counter is not None:
             counter.add(cost_full * (len(chunk) - scanned))
@@ -186,47 +180,6 @@ def _greedy_group(ev, r, l_set, s_star, s_hat, plan, v_max, counter, eps) -> Non
             v = 1
         else:
             v += 1
-
-
-# ---------------------------------------------------------------------------
-# Public phase wrappers
-# ---------------------------------------------------------------------------
-
-def prune_aircraft(h, r, l_set, s_hat, gamma, counter=None, eps=0.0):
-    """Fixpoint of the single-aircraft outage prune; returns (L, S_hat)."""
-    ev = _as_evaluator(h, gamma)
-    l_new, s_new = set(l_set), set(s_hat)
-    _prune_aircraft(ev, _rates_array(r), l_new, s_new, counter, eps)
-    return l_new, s_new
-
-
-def greedy_sic(h, r, l_set, s_star, s_hat, gamma, counter=None, eps=0.0):
-    """Fixpoint of the greedy SIC phase; returns (L, S_star)."""
-    ev = _as_evaluator(h, gamma)
-    l_new, star_new = set(l_set), set(s_star)
-    _greedy_sic(ev, _rates_array(r), l_new, star_new, set(s_hat), [], counter, eps)
-    return l_new, star_new
-
-
-def prune_subsets(h, r, l_set, s_hat, gamma, counter=None, eps=0.0):
-    """Pair-wise outage prune (assumes the single prune fixpoint holds);
-    returns (L, S_hat)."""
-    ev = _as_evaluator(h, gamma)
-    l_new, s_new = set(l_set), set(s_hat)
-    _prune_subsets(ev, _rates_array(r), l_new, s_new, counter, eps)
-    return l_new, s_new
-
-
-def greedy_group(h, r, l_set, s_star, s_hat, gamma, v_max, counter=None, eps=0.0) -> DecodeOutcome:
-    """Group-decoding phase on pre-pruned sets; residual L is reported as
-    outage."""
-    ev = _as_evaluator(h, gamma)
-    own = MultCounter() if counter is None else counter
-    l_new, star_new, hat_new = set(l_set), set(s_star), set(s_hat)
-    plan: list[tuple[int, ...]] = []
-    _greedy_group(ev, _rates_array(r), l_new, star_new, hat_new, plan, v_max, own, eps)
-    hat_new |= l_new
-    return DecodeOutcome(frozenset(star_new), frozenset(hat_new), frozenset(), tuple(plan), own.total)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +203,7 @@ def ssa(h, r, gamma, counter=None, eps=0.0) -> DecodeOutcome:
     reported as outage (they may still be group-decodable; see ``gsa``)."""
     ev = _as_evaluator(h, gamma)
     own = MultCounter() if counter is None else counter
-    l_set, s_star, s_hat, plan = _ssa_phases(ev, _rates_array(r), own, eps)
+    l_set, s_star, s_hat, plan = _ssa_phases(ev, np.asarray(r, dtype=float), own, eps)
     return DecodeOutcome(
         frozenset(s_star), frozenset(s_hat | l_set), frozenset(), tuple(plan), own.total
     )
@@ -262,7 +215,7 @@ def lgsa(h, r, gamma, v_max, counter=None, eps=0.0) -> DecodeOutcome:
         raise ValueError(f"v_max must be >= 1, got {v_max}")
     ev = _as_evaluator(h, gamma)
     own = MultCounter() if counter is None else counter
-    rr = _rates_array(r)
+    rr = np.asarray(r, dtype=float)
     l_set, s_star, s_hat, plan = _ssa_phases(ev, rr, own, eps)
     _prune_subsets(ev, rr, l_set, s_hat, own, eps)
     _greedy_group(ev, rr, l_set, s_star, s_hat, plan, v_max, own, eps)
@@ -285,7 +238,7 @@ def decode_with_order(h, r, order: Sequence[int], gamma, counter=None, eps=0.0) 
     """Walk a fixed decoding order; a failed aircraft stays as interference
     for everyone after it (it is never cancelled)."""
     ev = _as_evaluator(h, gamma)
-    rr = _rates_array(r)
+    rr = np.asarray(r, dtype=float)
     order = list(order)
     if sorted(order) != list(range(ev.k)):
         raise ValueError("order must be a permutation of all aircraft")
@@ -322,8 +275,8 @@ def vblast_order(h, r, gamma, counter=None) -> tuple[int, ...]:
 def cgtr_order(h, r) -> tuple[int, ...]:
     """Channel-gain-and-transmission-rate ordering: decreasing
     ||h_k||^2 (1 + 1/(2^{r_k} + 1)), ties to the lowest index."""
-    hm = h.h if hasattr(h, "h") else np.asarray(h, dtype=complex)
-    rr = _rates_array(r)
+    hm = np.asarray(h, dtype=complex)
+    rr = np.asarray(r, dtype=float)
     gains = np.sum(np.abs(hm) ** 2, axis=0)
     keys = gains * (1.0 + 1.0 / (2.0**rr + 1.0))
     return tuple(sorted(range(hm.shape[1]), key=lambda k: (-keys[k], k)))
@@ -332,7 +285,7 @@ def cgtr_order(h, r) -> tuple[int, ...]:
 def isu_set(h, r, gamma, counter=None, eps=0.0) -> frozenset:
     """Independent single-user decoders: everyone else is noise."""
     ev = _as_evaluator(h, gamma)
-    rr = _rates_array(r)
+    rr = np.asarray(r, dtype=float)
     everyone = set(range(ev.k))
     return frozenset(
         k for k in everyone if rr[k] <= ev.group_rate((k,), everyone - {k}, counter) + eps
@@ -350,12 +303,12 @@ def oracle_max_set(h, r, gamma, eps=0.0) -> frozenset:
     ev = _as_evaluator(h, gamma)
     if ev.k > ORACLE_MAX_SET_LIMIT:
         raise ValueError(f"oracle_max_set limited to K <= {ORACLE_MAX_SET_LIMIT}")
-    rr = _rates_array(r)
+    rr = np.asarray(r, dtype=float)
     everyone = frozenset(range(ev.k))
     for size in range(ev.k, 0, -1):
         for cand in combinations(sorted(everyone), size):
             s_hat = everyone - set(cand)
-            if _subset_conditions_hold(ev, rr, cand, s_hat, None, eps):
+            if subset_conditions_hold(ev, rr, cand, s_hat, None, eps):
                 return frozenset(cand)
     return frozenset()
 
@@ -367,7 +320,7 @@ def oracle_best_sic(h, r, gamma, eps=0.0) -> tuple[tuple[int, ...], frozenset]:
     ev = _as_evaluator(h, gamma)
     if ev.k > ORACLE_BEST_SIC_LIMIT:
         raise ValueError(f"oracle_best_sic limited to K <= {ORACLE_BEST_SIC_LIMIT}")
-    rr = _rates_array(r)
+    rr = np.asarray(r, dtype=float)
     best_order: tuple[int, ...] = tuple(range(ev.k))
     best_len = -1
     for perm in permutations(range(ev.k)):

@@ -10,7 +10,7 @@ accurate to sub-meter level for rectangle membership at cell scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -20,10 +20,9 @@ from .config import ScenarioConfig
 #: Attempts per aircraft before giving up on the separation constraint.
 MAX_PLACEMENT_ATTEMPTS = 10_000
 
-#: Golden-section iterations; shrinks the arc parameter interval below 1e-13,
-#: far past the 1 mm path-length tolerance for any cell-scale geometry.
-_GOLDEN_ITERS = 64
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: Bisection steps on the arc parameter in [0, 1]; 60 halvings leave a
+#: bracket below 1e-18, far past the 1 mm path-length tolerance.
+_BISECT_ITERS = 60
 
 
 class CellCapacityError(RuntimeError):
@@ -71,8 +70,6 @@ class ScenarioGeometry:
     earth: EarthModel
     gs: GeoPoint
     aircraft: tuple[GeoPoint, ...]
-    cell_radius_m: float
-    min_separation_m: float
 
 
 def gs_point(cfg: ScenarioConfig) -> GeoPoint:
@@ -107,13 +104,6 @@ def point_from_local(
     return GeoPoint(math.asin(np.clip(u[2], -1.0, 1.0)), math.atan2(u[1], u[0]), height_m)
 
 
-def local_from_point(center: GeoPoint, earth: EarthModel, pt: GeoPoint) -> tuple[float, float]:
-    """Azimuthal equidistant coordinates (x east, y north) of a point's ground
-    projection."""
-    xy = local_from_units(center, earth, pt.unit()[None, :])[0]
-    return float(xy[0]), float(xy[1])
-
-
 def local_from_units(center: GeoPoint, earth: EarthModel, units: np.ndarray) -> np.ndarray:
     """Vectorized azimuthal equidistant projection of unit direction vectors;
     returns (n, 2) local ground coordinates."""
@@ -125,13 +115,6 @@ def local_from_units(center: GeoPoint, earth: EarthModel, units: np.ndarray) -> 
     theta = np.arctan2(wn, c)  # stable for small separations, unlike arccos
     scale = np.where(wn < 1e-15, 0.0, earth.radius_m * theta / np.maximum(wn, 1e-300))
     return np.column_stack([scale * (w @ east), scale * (w @ north)])
-
-
-def great_circle_distance(earth: EarthModel, a: GeoPoint, b: GeoPoint) -> float:
-    ua, ub = a.unit(), b.unit()
-    c = float(np.dot(ua, ub))
-    s = float(np.linalg.norm(np.cross(ua, ub)))
-    return earth.radius_m * math.atan2(s, c)
 
 
 def sample_aircraft_positions(cfg: ScenarioConfig, rng: np.random.Generator) -> list[GeoPoint]:
@@ -169,8 +152,6 @@ def scenario_geometry(cfg: ScenarioConfig, rng: np.random.Generator) -> Scenario
         earth=EarthModel(cfg.earth_radius_m),
         gs=gs_point(cfg),
         aircraft=tuple(sample_aircraft_positions(cfg, rng)),
-        cell_radius_m=cfg.cell_radius_m,
-        min_separation_m=cfg.min_separation_m,
     )
 
 
@@ -184,9 +165,13 @@ def specular_reflection_points_batch(
     """Ground reflection points for one station and many aircraft.
 
     For each aircraft the point on the sphere surface minimizing the total
-    path station -> surface -> aircraft is found by golden-section search on
-    the great-circle arc between the two ground projections.  Returns an
-    (n, 3) array of Cartesian surface points.
+    path station -> surface -> aircraft lies on the great-circle arc between
+    the two ground projections, where the station-side and aircraft-side
+    grazing angles are equal.  Their difference falls monotonically along the
+    arc (positive under the station, negative under the aircraft), so the
+    point is found by bisection on the arc parameter.  An aircraft directly
+    above the station maps to the station's ground point.  Returns an (n, 3)
+    array of Cartesian surface points.
     """
     re = earth.radius_m
     g = gs.xyz(earth)
@@ -207,29 +192,6 @@ def specular_reflection_points_batch(
         u[degenerate] = u1
         return re * u
 
-    def path(t: np.ndarray) -> np.ndarray:
-        x = surface(t)
-        return np.linalg.norm(x - g, axis=1) + np.linalg.norm(x - a, axis=1)
-
-    lo = np.zeros(len(a))
-    hi = np.ones(len(a))
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc, fd = path(c), path(d)
-    for _ in range(_GOLDEN_ITERS):
-        left = fc < fd  # keep [lo, d] on the left branch, [c, hi] on the right
-        hi = np.where(left, d, hi)
-        lo = np.where(left, lo, c)
-        d_new = np.where(left, c, lo + _INV_PHI * (hi - lo))
-        c_new = np.where(left, hi - _INV_PHI * (hi - lo), d)
-        fresh = path(np.where(left, c_new, d_new))
-        fd_new = np.where(left, fc, fresh)
-        fc_new = np.where(left, fresh, fd)
-        c, d, fc, fd = c_new, d_new, fc_new, fd_new
-
-    # The golden search is path-noise limited near steep reflections; the
-    # minimum is also the zero of the (monotone) grazing-angle difference,
-    # which bisects cleanly to machine precision.
     def grazing_gap(t: np.ndarray) -> np.ndarray:
         x = surface(t)
         n = x / re
@@ -239,30 +201,15 @@ def specular_reflection_points_batch(
         s2 = np.sum(to_a * n, axis=1) / np.linalg.norm(to_a, axis=1)
         return np.arcsin(np.clip(s1, -1, 1)) - np.arcsin(np.clip(s2, -1, 1))
 
-    blo = np.clip(lo - 1e-3, 0.0, 1.0)
-    bhi = np.clip(hi + 1e-3, 0.0, 1.0)
-    glo, ghi = grazing_gap(blo), grazing_gap(bhi)
-    bad = (glo < 0) | (ghi > 0)  # stalled far off: fall back to the full arc
-    blo[bad], bhi[bad] = 0.0, 1.0
-    for _ in range(60):
+    blo = np.zeros(len(a))
+    bhi = np.ones(len(a))
+    for _ in range(_BISECT_ITERS):
         mid = 0.5 * (blo + bhi)
         gm = grazing_gap(mid)
         pos = gm > 0
         blo = np.where(pos, mid, blo)
         bhi = np.where(pos, bhi, mid)
-    t_star = 0.5 * (blo + bhi)
-    t_star[degenerate] = 0.0
-    return surface(t_star)
-
-
-def specular_reflection_point(gs: GeoPoint, ac: GeoPoint, earth: EarthModel) -> GeoPoint:
-    """Specular ground reflection point between an elevated station and an
-    elevated aircraft (height 0 result)."""
-    if gs.height_m <= 0 or ac.height_m <= 0:
-        raise ValueError("both endpoints must be above the surface")
-    xyz = specular_reflection_points_batch(gs, ac.xyz(earth)[None, :], earth)[0]
-    u = xyz / np.linalg.norm(xyz)
-    return GeoPoint(math.asin(np.clip(u[2], -1.0, 1.0)), math.atan2(u[1], u[0]), 0.0)
+    return surface(0.5 * (blo + bhi))
 
 
 def grazing_angle(surface_xyz: np.ndarray, other_xyz: np.ndarray) -> float | np.ndarray:
@@ -290,6 +237,11 @@ class ReflectorMap:
     ``rects`` has rows (xmin, ymin, xmax, ymax); every rectangle intersects
     the cell disc and total in-disc rectangle area equals
     ``coverage_fraction`` times the disc area to within one rectangle.
+
+    Row order: rectangles lie in horizontal bands whose members share
+    (ymin, ymax); bands are disjoint except for shared edges and appear in
+    increasing ymin, and within a band rectangles are disjoint and appear in
+    increasing xmin.  ``covers_local`` relies on this order.
     """
 
     rects: np.ndarray
@@ -297,11 +249,7 @@ class ReflectorMap:
     seed: int
     center: GeoPoint
     earth: EarthModel
-    cell_radius_m: float
     area_in_disc_m2: float
-    _grid: dict | None = field(default=None, repr=False, compare=False)
-    _grid_pitch: float = field(default=0.0, repr=False, compare=False)
-    _grid_origin: float = field(default=0.0, repr=False, compare=False)
 
     @property
     def rectangles(self) -> np.ndarray:
@@ -311,90 +259,32 @@ class ReflectorMap:
             [(r[:, 0] + r[:, 2]) / 2, (r[:, 1] + r[:, 3]) / 2, r[:, 2] - r[:, 0], r[:, 3] - r[:, 1]]
         )
 
-    def _ensure_grid(self) -> None:
-        if self._grid is not None:
-            return
-        pitch = max((self.rects[:, 2] - self.rects[:, 0]).max(initial=1.0), 1.0)
-        origin = -self.cell_radius_m - 2.0 * pitch
-        # every rectangle side fits one pitch, so a rectangle touches at most
-        # 2 cells per axis: enumerate the four candidate corners
-        ix0 = ((self.rects[:, 0] - origin) // pitch).astype(np.int64)
-        iy0 = ((self.rects[:, 1] - origin) // pitch).astype(np.int64)
-        ix1 = ((self.rects[:, 2] - origin) // pitch).astype(np.int64)
-        iy1 = ((self.rects[:, 3] - origin) // pitch).astype(np.int64)
-        idx = np.arange(len(self.rects))
-        keys, owners = [], []
-        for gx, gy, mask in (
-            (ix0, iy0, None),
-            (ix1, iy0, ix1 > ix0),
-            (ix0, iy1, iy1 > iy0),
-            (ix1, iy1, (ix1 > ix0) & (iy1 > iy0)),
-        ):
-            if mask is None:
-                keys.append(gx * (1 << 32) + gy)
-                owners.append(idx)
-            elif mask.any():
-                keys.append((gx * (1 << 32) + gy)[mask])
-                owners.append(idx[mask])
-        key_arr = np.concatenate(keys) if keys else np.zeros(0, np.int64)
-        own_arr = np.concatenate(owners) if owners else np.zeros(0, np.int64)
-        order = np.argsort(key_arr, kind="stable")
-        key_arr, own_arr = key_arr[order], own_arr[order]
-        bounds = np.flatnonzero(np.r_[True, key_arr[1:] != key_arr[:-1]])
-        bounds = np.r_[bounds, len(key_arr)]
-        self._grid = {
-            int(key_arr[b0]): own_arr[b0:b1] for b0, b1 in zip(bounds[:-1], bounds[1:])
-        }
-        self._grid_pitch = pitch
-        self._grid_origin = origin
-
     def covers_local(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Membership test for points given in local ground coordinates."""
+        """Membership test for points given in local ground coordinates;
+        rectangle edges count as inside.
+
+        A point can only lie in the last band with ymin <= y, or in the band
+        before it when y is on their shared edge; within a band, only in the
+        last rectangle with xmin <= x.  Complex keys ymin + j xmin order like
+        (ymin, xmin) pairs, which is the row order, so one ``searchsorted``
+        finds that rectangle, exactly."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         y = np.atleast_1d(np.asarray(y, dtype=float))
         out = np.zeros(x.shape, dtype=bool)
-        if len(self.rects) == 0:
+        r = self.rects
+        if len(r) == 0:
             return out
-        if self._grid is None and x.size * len(self.rects) <= 2_000_000:
-            r = self.rects
-            px, py = x[:, None], y[:, None]
-            return (
-                (px >= r[None, :, 0])
-                & (px <= r[None, :, 2])
-                & (py >= r[None, :, 1])
-                & (py <= r[None, :, 3])
-            ).any(axis=1)
-        self._ensure_grid()
-        pitch, origin = self._grid_pitch, self._grid_origin
-        keys = ((x - origin) // pitch).astype(np.int64) * (1 << 32) + (
-            (y - origin) // pitch
-        ).astype(np.int64)
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        boundaries = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-        boundaries = np.r_[boundaries, len(sorted_keys)]
-        for b0, b1 in zip(boundaries[:-1], boundaries[1:]):
-            pts = order[b0:b1]
-            cand = self._grid.get(int(sorted_keys[b0]))
-            if cand is None:
-                continue
-            r = self.rects[cand]
-            px = x[pts][:, None]
-            py = y[pts][:, None]
-            hit = (
-                (px >= r[None, :, 0])
-                & (px <= r[None, :, 2])
-                & (py >= r[None, :, 1])
-                & (py <= r[None, :, 3])
-            ).any(axis=1)
-            out[pts] = hit
+        ymin_rows = r[:, 1]
+        band_ymin = ymin_rows[np.r_[True, ymin_rows[1:] != ymin_rows[:-1]]]
+        keys = ymin_rows + 1j * r[:, 0]
+        below = np.searchsorted(band_ymin, y, side="right") - 1
+        # a point on the edge two bands share lies in both
+        for band in (below, below - 1):
+            ymin = band_ymin[np.maximum(band, 0)]
+            j = np.searchsorted(keys, ymin + 1j * x, side="right") - 1
+            hit = r[np.maximum(j, 0)]
+            out |= (band >= 0) & (j >= 0) & (hit[:, 1] == ymin) & (x <= hit[:, 2]) & (y <= hit[:, 3])
         return out
-
-
-def is_reflective(refl_map: ReflectorMap, pt: GeoPoint) -> bool:
-    """True iff the ground point lies inside any reflective rectangle."""
-    x, y = local_from_point(refl_map.center, refl_map.earth, pt)
-    return bool(refl_map.covers_local(np.array([x]), np.array([y]))[0])
 
 
 def _rect_disc_areas(rects: np.ndarray, radius: float) -> np.ndarray:
@@ -490,6 +380,5 @@ def build_reflector_map(cfg: ScenarioConfig, seed: int) -> ReflectorMap:
         seed=int(seed),
         center=GeoPoint(0.0, 0.0, 0.0),
         earth=EarthModel(cfg.earth_radius_m),
-        cell_radius_m=radius,
         area_in_disc_m2=total,
     )

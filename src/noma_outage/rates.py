@@ -25,18 +25,12 @@ formula, independent of the factorization shortcut above.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channel import ChannelMatrix, LinkBudget
-
 LOG2E = float(np.log2(np.e))
-
-
-def snr_linear(budget: LinkBudget) -> float:
-    """gamma = P / N0 from the dBm link budget."""
-    return budget.snr_linear
 
 
 @dataclass
@@ -51,35 +45,6 @@ class MultCounter:
         self.total += n
 
 
-@dataclass(frozen=True)
-class RateVector:
-    """Per-aircraft transmission rates plus the system guaranteed rate."""
-
-    rates: tuple[float, ...]
-    guaranteed_rate: float
-
-    def __post_init__(self) -> None:
-        if any(r < self.guaranteed_rate - 1e-12 for r in self.rates):
-            raise ValueError("all rates must be at least the guaranteed rate")
-
-    @classmethod
-    def equal_rate(cls, k: int, r_g: float) -> "RateVector":
-        return cls(tuple([float(r_g)] * k), float(r_g))
-
-    @classmethod
-    def variable_rate(cls, rates: Iterable[float], r_g: float) -> "RateVector":
-        return cls(tuple(float(r) for r in rates), float(r_g))
-
-    def asarray(self) -> np.ndarray:
-        return np.asarray(self.rates, dtype=float)
-
-
-def _as_h(h) -> np.ndarray:
-    if isinstance(h, ChannelMatrix):
-        return h.h
-    return np.asarray(h, dtype=complex)
-
-
 class RateEvaluator:
     """Caches capacity terms C(A) for one channel matrix.
 
@@ -88,7 +53,7 @@ class RateEvaluator:
     """
 
     def __init__(self, h, gamma: float):
-        h = _as_h(h)
+        h = np.asarray(h, dtype=complex)
         if h.ndim != 2:
             raise ValueError(f"channel matrix must be 2-D, got shape {h.shape}")
         self.m, self.k = h.shape
@@ -149,43 +114,27 @@ class RateEvaluator:
         return self.capacity(union) - self.capacity(t)
 
 
-def group_rate(h, s, s_hat, gamma: float, counter: MultCounter | None = None) -> float:
-    """One-shot evaluation of R_S^T for a channel matrix."""
-    return RateEvaluator(h, gamma).group_rate(s, s_hat, counter)
-
-
-def _subsets_largest_first(c: Sequence[int], skip_full: bool = False):
-    from itertools import combinations
-
-    items = sorted(c)
-    start = len(items) - 1 if skip_full else len(items)
-    for size in range(start, 0, -1):
-        yield from combinations(items, size)
-
-
 def subset_conditions_hold(
-    h,
-    r,
-    c,
-    t,
-    gamma: float,
+    ev: RateEvaluator,
+    r: np.ndarray,
+    c: Iterable[int],
+    t: Iterable[int],
     counter: MultCounter | None = None,
     eps: float = 0.0,
+    skip_full: bool = False,
 ) -> bool:
-    """True iff every nonempty subset S of C satisfies sum(r_S) <= R_S^T.
+    """True iff every nonempty subset S of C satisfies sum(r_S) <= R_S^T + eps.
 
     Short-circuits on the first violated subset; subsets are scanned largest
-    first since the full-group sum constraint binds most often.
+    first since the full-group sum constraint binds most often.  With
+    ``skip_full`` the full set C is taken as already checked.
     """
-    ev = h if isinstance(h, RateEvaluator) else RateEvaluator(h, gamma)
-    return _subset_conditions_hold(ev, np.asarray(r, float), c, t, counter, eps)
-
-
-def _subset_conditions_hold(ev, r, c, t, counter, eps, skip_full: bool = False) -> bool:
     t = tuple(sorted(t))
-    for s in _subsets_largest_first(c, skip_full):
-        if float(r[list(s)].sum()) > ev.group_rate(s, t, counter) + eps:
-            return False
+    items = sorted(c)
+    for size in range(len(items) - 1 if skip_full else len(items), 0, -1):
+        for s in combinations(items, size):
+            if float(r[list(s)].sum()) > ev.group_rate(s, t, counter) + eps:
+                return False
     return True
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import decoders
+from .rates import RateEvaluator, subset_conditions_hold
 
 
 @dataclass
@@ -73,13 +74,14 @@ def check_instance(h, r, gamma, mutation_eps: float = 0.0) -> tuple[list[tuple[s
     problems: list[tuple[str, str]] = []
     k = h.shape[1]
     everyone = frozenset(range(k))
+    ev = RateEvaluator(h, gamma)
 
-    res_ssa = decoders.ssa(h, r, gamma, eps=mutation_eps)
-    res_gsa = decoders.gsa(h, r, gamma, eps=mutation_eps)
-    res_l2 = decoders.lgsa(h, r, gamma, 2, eps=mutation_eps)
-    res_l4 = decoders.lgsa(h, r, gamma, 4, eps=mutation_eps)
-    res_lk = decoders.lgsa(h, r, gamma, k, eps=mutation_eps)
-    isu = decoders.isu_set(h, r, gamma, eps=mutation_eps)
+    res_ssa = decoders.ssa(ev, r, gamma, eps=mutation_eps)
+    res_gsa = decoders.gsa(ev, r, gamma, eps=mutation_eps)
+    res_l2 = decoders.lgsa(ev, r, gamma, 2, eps=mutation_eps)
+    res_l4 = decoders.lgsa(ev, r, gamma, 4, eps=mutation_eps)
+    res_lk = decoders.lgsa(ev, r, gamma, k, eps=mutation_eps)
+    isu = decoders.isu_set(ev, r, gamma, eps=mutation_eps)
 
     for name, res in (("SSA", res_ssa), ("GSA", res_gsa), ("LGSA:2", res_l2)):
         if res.decoded | res.outage | res.undetermined != everyone or res.undetermined:
@@ -96,17 +98,15 @@ def check_instance(h, r, gamma, mutation_eps: float = 0.0) -> tuple[list[tuple[s
         for grp in res.decode_plan:
             later -= set(grp)
             t_set = later | set(res.outage)
-            if not decoders._subset_conditions_hold(
-                decoders._as_evaluator(h, gamma), np.asarray(r, float), grp, t_set, None, mutation_eps
-            ):
+            if not subset_conditions_hold(ev, r, grp, t_set, None, mutation_eps):
                 problems.append(("plan", f"{name}: group {grp} infeasible on replay"))
 
-    _, best_sic = decoders.oracle_best_sic(h, r, gamma)
+    _, best_sic = decoders.oracle_best_sic(ev, r, gamma)
     if len(res_ssa.decoded) != len(best_sic):
         problems.append(
             ("ssa_optimality", f"SSA decoded {len(res_ssa.decoded)}, best order {len(best_sic)}")
         )
-    max_set = decoders.oracle_max_set(h, r, gamma)
+    max_set = decoders.oracle_max_set(ev, r, gamma)
     if len(res_gsa.decoded) != len(max_set):
         problems.append(
             ("gsa_optimality", f"GSA decoded {len(res_gsa.decoded)}, oracle {len(max_set)}")

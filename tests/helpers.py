@@ -1,5 +1,7 @@
 """Shared test oracles, independent of the library's evaluation shortcuts."""
 
+import math
+
 import numpy as np
 
 
@@ -26,3 +28,41 @@ def direct_group_rate(h, s, t, gamma):
 
 def random_channel(rng, m, k):
     return (rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))) / np.sqrt(2.0)
+
+
+def great_circle_distance(earth, a, b):
+    """Surface distance between the ground projections of two GeoPoints."""
+    ua, ub = a.unit(), b.unit()
+    c = float(np.dot(ua, ub))
+    s = float(np.linalg.norm(np.cross(ua, ub)))
+    return earth.radius_m * math.atan2(s, c)
+
+
+def los_channel(element_pos, ac_pos, wavelength_m):
+    """Line-of-sight entry for one element/aircraft pair, straight from the
+    ray formula a_L exp(-j 2 pi d_L / lambda), a_L = lambda / (4 pi d_L)."""
+    d = float(np.linalg.norm(np.asarray(ac_pos, float) - np.asarray(element_pos, float)))
+    if d <= 0.0:
+        raise ValueError("element and aircraft positions must be distinct")
+    amp = wavelength_m / (4.0 * math.pi * d)
+    return amp * np.exp(-2j * math.pi * d / wavelength_m)
+
+
+def gmp_channel(element_pos, ac_pos, spec_xyz, rho_v, wavelength_m):
+    """Ground-multipath entry: reflected ray through the specular point."""
+    e = np.asarray(element_pos, float)
+    a = np.asarray(ac_pos, float)
+    s = np.asarray(spec_xyz, float)
+    d = float(np.linalg.norm(s - e) + np.linalg.norm(a - s))
+    amp = wavelength_m / (4.0 * math.pi * d)
+    return rho_v * amp * np.exp(-2j * math.pi * d / wavelength_m)
+
+
+def covers_brute_force(rects, x, y):
+    """Inclusive point-in-any-rectangle test against every rectangle."""
+    px = np.asarray(x, float)[:, None]
+    py = np.asarray(y, float)[:, None]
+    r = np.asarray(rects, float).reshape(-1, 4)
+    return (
+        (px >= r[None, :, 0]) & (px <= r[None, :, 2]) & (py >= r[None, :, 1]) & (py <= r[None, :, 3])
+    ).any(axis=1)

@@ -3,20 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from helpers import gmp_channel, los_channel
 from noma_outage.channel import (
     SPEED_OF_LIGHT,
     ArrayLayout,
     GroundElectrical,
     LinkBudget,
     channel_matrix,
-    dump_channel_csv,
-    gmp_channel,
-    los_channel,
+    element_positions_xyz,
     upra_element_positions,
     vertical_reflection_coefficient,
 )
 from noma_outage.config import ScenarioConfig
-from noma_outage.geometry import EarthModel, build_reflector_map, scenario_geometry
+from noma_outage.geometry import (
+    build_reflector_map,
+    scenario_geometry,
+    specular_reflection_points_batch,
+)
 
 BUDGET = LinkBudget()
 LAM = BUDGET.wavelength_m
@@ -224,17 +227,24 @@ def test_channel_deterministic():
     assert np.array_equal(a.gmp_present, b.gmp_present)
 
 
-def test_dump_channel_csv(tmp_path):
-    cfg = ScenarioConfig(k_aircraft=3, m_antennas=4)
-    _, _, chan = _build(cfg)
-    out = tmp_path / "chan.csv"
-    dump_channel_csv(chan, str(out))
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "m,k,re_hL,im_hL,re_hG,im_hG"
-    assert len(lines) == 1 + 4 * 3
-    m, k, re_l, im_l, _, _ = lines[1].split(",")
-    assert (int(m), int(k)) == (0, 0)
-    assert complex(float(re_l), float(im_l)) == chan.h_los[0, 0]
+def test_channel_matrix_entries_match_ray_oracles():
+    # the scalar ray formulas pin every entry of the vectorized assembly, on
+    # columns with the ground path and columns without it
+    cfg = ScenarioConfig(k_aircraft=8, m_antennas=4)
+    geom, refl, chan = _build(cfg, seed=2, map_seed=3)
+    assert chan.gmp_present.any() and not chan.gmp_present.all()
+    elems = element_positions_xyz(geom, ArrayLayout.upra(cfg.m_antennas, LAM))
+    acs = np.array([p.xyz(geom.earth) for p in geom.aircraft])
+    spec = specular_reflection_points_batch(geom.gs, acs, geom.earth)
+    for m in range(cfg.m_antennas):
+        for k in range(cfg.k_aircraft):
+            los = los_channel(elems[m], acs[k], LAM)
+            assert abs(chan.h_los[m, k] - los) <= 1e-8 * abs(los)
+            if chan.gmp_present[k]:
+                gmp = gmp_channel(elems[m], acs[k], spec[k], chan.rho_v[k], LAM)
+                assert abs(chan.h_gmp[m, k] - gmp) <= 1e-8 * abs(gmp)
+            else:
+                assert chan.h_gmp[m, k] == 0.0
 
 
 def test_wavelength_and_snr_from_budget():

@@ -6,6 +6,7 @@ import yaml
 from noma_outage import decoders
 from noma_outage.cli import main, rows_to_csv
 from noma_outage.config import (
+    ConfigError,
     ScenarioConfig,
     config_from_dict,
     config_to_dict,
@@ -51,7 +52,7 @@ def test_config_dict_round_trip():
 def test_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("k_aircrafts: 4\n")
-    with pytest.raises(Exception):
+    with pytest.raises(ConfigError):
         load_config(str(path))
 
 

@@ -6,17 +6,17 @@ import pytest
 from helpers import direct_group_rate, random_channel
 from noma_outage import decoders
 from noma_outage.decoders import (
+    _greedy_group,
+    _greedy_sic,
+    _prune_aircraft,
+    _prune_subsets,
     cgtr_order,
     decode_with_order,
-    greedy_group,
-    greedy_sic,
     gsa,
     isu_set,
     lgsa,
     oracle_best_sic,
     oracle_max_set,
-    prune_aircraft,
-    prune_subsets,
     ssa,
     vblast_order,
 )
@@ -42,14 +42,16 @@ def _identical_columns(gain=100.0):
 def test_prune_keeps_feasible_aircraft():
     h = random_channel(np.random.default_rng(0), 4, 4)
     r = np.full(4, 0.01)
-    l_set, s_hat = prune_aircraft(h, r, set(range(4)), set(), 2.0)
+    l_set, s_hat = set(range(4)), set()
+    _prune_aircraft(RateEvaluator(h, 2.0), r, l_set, s_hat, None, 0.0)
     assert l_set == set(range(4)) and s_hat == set()
 
 
 def test_prune_removes_unreachable_rates():
     h = random_channel(np.random.default_rng(1), 4, 4)
     r = np.full(4, 1e6)
-    l_set, s_hat = prune_aircraft(h, r, set(range(4)), set(), 2.0)
+    l_set, s_hat = set(range(4)), set()
+    _prune_aircraft(RateEvaluator(h, 2.0), r, l_set, s_hat, None, 0.0)
     assert l_set == set() and s_hat == set(range(4))
 
 
@@ -65,7 +67,8 @@ def test_prune_cascade_reaches_fixpoint():
     r1_under_2 = direct_group_rate(h, (1,), (2,), gamma)
     assert r1_under_2 < r[1] <= a1
 
-    l_set, s_hat = prune_aircraft(h, r, {0, 1, 2}, set(), gamma)
+    l_set, s_hat = {0, 1, 2}, set()
+    _prune_aircraft(RateEvaluator(h, gamma), r, l_set, s_hat, None, 0.0)
     assert s_hat == {1, 2} and l_set == {0}
 
     # independent fixpoint oracle: exhaustive passes on the direct formula
@@ -87,21 +90,24 @@ def test_prune_cascade_reaches_fixpoint():
 
 def test_greedy_single_feasible_aircraft():
     h = np.array([[1.0]], dtype=complex)
-    l_set, s_star = greedy_sic(h, [1.0], {0}, set(), set(), 3.0)
+    l_set, s_star = {0}, set()
+    _greedy_sic(RateEvaluator(h, 3.0), np.array([1.0]), l_set, s_star, set(), [], None, 0.0)
     assert s_star == {0} and l_set == set()
 
 
 def test_greedy_orthogonal_columns_order_free():
     h = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
     r = np.array([0.9, 0.9])
-    l_set, s_star = greedy_sic(h, r, {0, 1}, set(), set(), 1.0)
+    l_set, s_star = {0, 1}, set()
+    _greedy_sic(RateEvaluator(h, 1.0), r, l_set, s_star, set(), [], None, 0.0)
     assert s_star == {0, 1}
     assert l_set == set()
 
 
 def test_greedy_near_far_matches_order_enumeration():
     h, r, gamma = _near_far_instance()
-    l_set, s_star = greedy_sic(h, r, {0, 1}, set(), set(), gamma)
+    l_set, s_star = {0, 1}, set()
+    _greedy_sic(RateEvaluator(h, gamma), r, l_set, s_star, set(), [], None, 0.0)
     # factorial oracle under stop-at-failure semantics
     best = 0
     for order in itertools.permutations(range(2)):
@@ -158,7 +164,8 @@ def test_ssa_matches_factorial_oracle_on_random_instances():
 def test_prune_subsets_orthogonal_untouched():
     h = np.eye(3, dtype=complex)
     r = np.full(3, 0.5)
-    l_set, s_hat = prune_subsets(h, r, {0, 1, 2}, set(), 1.0)
+    l_set, s_hat = {0, 1, 2}, set()
+    _prune_subsets(RateEvaluator(h, 1.0), r, l_set, s_hat, None, 0.0)
     assert l_set == {0, 1, 2} and s_hat == set()
 
 
@@ -168,7 +175,8 @@ def test_prune_subsets_identical_columns_pair_outage():
     pair = direct_group_rate(h, (0, 1), (), gamma)
     r = np.array([0.9 * a, 0.9 * a])
     assert r.sum() > pair and all(ri <= a for ri in r)
-    l_set, s_hat = prune_subsets(h, r, {0, 1}, set(), gamma)
+    l_set, s_hat = {0, 1}, set()
+    _prune_subsets(RateEvaluator(h, gamma), r, l_set, s_hat, None, 0.0)
     assert l_set == set() and s_hat == {0, 1}
 
 
@@ -191,15 +199,18 @@ def test_prune_subsets_cascades_into_single_prune():
     r0 = 1.5 * r0_low
     assert r0 <= direct_group_rate(h, (0,), (), gamma)
     r = np.array([r0, r1, r2])
-    l_set, s_hat = prune_subsets(h, r, {0, 1, 2}, set(), gamma)
+    l_set, s_hat = {0, 1, 2}, set()
+    _prune_subsets(RateEvaluator(h, gamma), r, l_set, s_hat, None, 0.0)
     assert s_hat == {0, 1, 2} and l_set == set()
 
 
 def test_greedy_group_empty_undetermined_is_noop():
     h = random_channel(np.random.default_rng(5), 2, 3)
-    res = greedy_group(h, np.ones(3), set(), {0, 1}, {2}, 1.0, v_max=3)
-    assert res.decoded == frozenset({0, 1})
-    assert res.outage == frozenset({2})
+    l_set, s_star, s_hat, plan = set(), {0, 1}, {2}, []
+    counter = MultCounter()
+    _greedy_group(RateEvaluator(h, 1.0), np.ones(3), l_set, s_star, s_hat, plan, 3, counter, 0.0)
+    assert (l_set, s_star, s_hat, plan) == (set(), {0, 1}, {2}, [])
+    assert counter.total == 0
 
 
 def test_greedy_group_decodes_interior_dominant_face_pair():

@@ -2,26 +2,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
-from noma_outage.config import RectangleSides, ScenarioConfig
+from helpers import covers_brute_force, great_circle_distance
+from noma_outage.config import ConfigError, RectangleSides, ScenarioConfig
 from noma_outage.geometry import (
     CellCapacityError,
     CoverageError,
     EarthModel,
     GeoPoint,
+    ReflectorMap,
     build_reflector_map,
     grazing_angle,
-    great_circle_distance,
     gs_point,
-    is_reflective,
-    local_from_point,
+    local_from_units,
     point_from_local,
     sample_aircraft_positions,
-    specular_reflection_point,
     specular_reflection_points_batch,
 )
 
 EARTH = EarthModel()
+
+
+def _specular(gs, aircraft, earth=EARTH):
+    """Specular points (n, 3) for a list of aircraft GeoPoints."""
+    return specular_reflection_points_batch(gs, np.array([p.xyz(earth) for p in aircraft]), earth)
 
 
 def test_geopoint_norm_is_radius_plus_height():
@@ -33,7 +39,7 @@ def test_local_projection_round_trip():
     center = gs_point(ScenarioConfig())
     for x, y in [(0.0, 0.0), (100.0, -50.0), (150_000.0, 90_000.0), (-220_000.0, 10.0)]:
         pt = point_from_local(center, EARTH, x, y, 0.0)
-        xb, yb = local_from_point(center, EARTH, pt)
+        xb, yb = local_from_units(center, EARTH, pt.unit())[0]
         assert xb == pytest.approx(x, abs=1e-6)
         assert yb == pytest.approx(y, abs=1e-6)
 
@@ -96,27 +102,35 @@ def test_flat_earth_equal_heights_gives_midpoint():
     flat = EarthModel(radius_m=1e9 * EARTH.radius_m)
     gs = GeoPoint(0.0, 0.0, 600.0)
     ac = GeoPoint(0.0, 50_000.0 / flat.radius_m, 600.0)
-    spec = specular_reflection_point(gs, ac, flat)
-    assert spec.height_m == 0.0
-    assert spec.lon == pytest.approx(ac.lon / 2.0, rel=1e-6)
+    spec = _specular(gs, [ac], flat)[0]
+    assert np.linalg.norm(spec) == pytest.approx(flat.radius_m, rel=1e-12)
+    assert math.atan2(spec[1], spec[0]) == pytest.approx(ac.lon / 2.0, rel=1e-6)
+
+
+def test_aircraft_above_station_reflects_at_station_ground_point():
+    cfg = ScenarioConfig()
+    gs = gs_point(cfg)
+    overhead = GeoPoint(gs.lat, gs.lon, cfg.aircraft_altitude_m)
+    offset = point_from_local(gs, EARTH, 3_000.0, -4_000.0, cfg.aircraft_altitude_m)
+    spec = _specular(gs, [overhead, offset])
+    assert np.array_equal(spec[0], EARTH.radius_m * gs.unit())
+    assert np.linalg.norm(spec[1] - EARTH.radius_m * gs.unit()) > 100.0
 
 
 def test_grazing_angles_equal_for_random_pairs():
     rng = np.random.default_rng(3)
     cfg = ScenarioConfig(k_aircraft=1)
     gs = gs_point(cfg)
-    worst = 0.0
+    aircraft = []
     for _ in range(1000):
         r = cfg.cell_radius_m * math.sqrt(rng.random())
         az = rng.uniform(0.0, 2.0 * math.pi)
-        ac = point_from_local(gs, EARTH, r * math.sin(az), r * math.cos(az),
-                              cfg.aircraft_altitude_m)
-        spec = specular_reflection_point(gs, ac, EARTH)
-        sxyz = spec.xyz(EARTH)
-        g1 = grazing_angle(sxyz, gs.xyz(EARTH))
-        g2 = grazing_angle(sxyz, ac.xyz(EARTH))
-        worst = max(worst, abs(float(g1) - float(g2)))
-    assert worst < 1e-6
+        aircraft.append(point_from_local(gs, EARTH, r * math.sin(az), r * math.cos(az),
+                                         cfg.aircraft_altitude_m))
+    spec = _specular(gs, aircraft)
+    g1 = grazing_angle(spec, gs.xyz(EARTH)[None, :])
+    g2 = grazing_angle(spec, np.array([p.xyz(EARTH) for p in aircraft]))
+    assert np.abs(g1 - g2).max() < 1e-6
 
 
 def test_specular_point_matches_grid_search_oracle():
@@ -143,8 +157,7 @@ def test_specular_point_matches_grid_search_oracle():
         path = np.linalg.norm(pts - gxyz, axis=1) + np.linalg.norm(pts - axyz, axis=1)
         best = path.min()
 
-        spec = specular_reflection_point(gs, ac, EARTH)
-        sxyz = spec.xyz(EARTH)
+        sxyz = _specular(gs, [ac])[0]
         got = np.linalg.norm(sxyz - gxyz) + np.linalg.norm(sxyz - axyz)
         assert abs(got - best) < 1e-3
 
@@ -153,19 +166,10 @@ def test_specular_batch_matches_scalar():
     cfg = ScenarioConfig(k_aircraft=4)
     gs = gs_point(cfg)
     pts = sample_aircraft_positions(cfg, np.random.default_rng(5))
-    batch = specular_reflection_points_batch(
-        gs, np.array([p.xyz(EARTH) for p in pts]), EARTH
-    )
+    batch = _specular(gs, pts)
     for p, row in zip(pts, batch):
-        single = specular_reflection_point(gs, p, EARTH).xyz(EARTH)
+        single = _specular(gs, [p])[0]
         assert np.linalg.norm(single - row) < 1e-3
-
-
-def test_specular_rejects_surface_endpoints():
-    gs = GeoPoint(0.0, 0.0, 0.0)
-    ac = GeoPoint(0.0, 0.01, 10_000.0)
-    with pytest.raises(ValueError):
-        specular_reflection_point(gs, ac, EARTH)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +231,14 @@ def test_near_zero_coverage_gives_sparse_map():
 
 
 def test_unreachable_coverage_raises():
-    with pytest.raises((CoverageError, Exception)):
+    with pytest.raises(CoverageError):
         build_reflector_map(ScenarioConfig(coverage_fraction=0.96), seed=1)
+
+
+def _covers(refl, pt):
+    """Membership of a ground point, through its local projection."""
+    xy = local_from_units(refl.center, refl.earth, pt.unit())
+    return bool(refl.covers_local(xy[:, 0], xy[:, 1])[0])
 
 
 def test_is_reflective_rectangle_center_and_outside():
@@ -236,7 +246,7 @@ def test_is_reflective_rectangle_center_and_outside():
     refl = build_reflector_map(cfg, seed=21)
     cx, cy = refl.rectangles[0, 0], refl.rectangles[0, 1]
     inside = point_from_local(refl.center, refl.earth, cx, cy, 0.0)
-    assert is_reflective(refl, inside)
+    assert _covers(refl, inside)
 
     # a point in a gap: scan along x at the first rectangle's y until outside all
     probe_x = np.linspace(-cfg.cell_radius_m, cfg.cell_radius_m, 4001)
@@ -244,9 +254,87 @@ def test_is_reflective_rectangle_center_and_outside():
     assert not hits.all()
     free_x = probe_x[~hits][0]
     outside = point_from_local(refl.center, refl.earth, float(free_x), cy, 0.0)
-    assert not is_reflective(refl, outside)
+    assert not _covers(refl, outside)
+
+
+def _edge_probes(rects):
+    """Every corner and edge midpoint of every rectangle, and the points one
+    floating-point step to either side of each along both axes."""
+    x0, y0, x1, y1 = np.asarray(rects, float).reshape(-1, 4).T
+    xm, ym = (x0 + x1) / 2, (y0 + y1) / 2
+    px = np.concatenate([x0, x1, x0, x1, xm, xm, x0, x1])
+    py = np.concatenate([y0, y0, y1, y1, y0, y1, ym, ym])
+    xs = [px, np.nextafter(px, -np.inf), np.nextafter(px, np.inf), px, px]
+    ys = [py, py, py, np.nextafter(py, -np.inf), np.nextafter(py, np.inf)]
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+def _map_of(rects):
+    return ReflectorMap(
+        rects=np.asarray(rects, float).reshape(-1, 4), coverage_fraction=0.5, seed=0,
+        center=GeoPoint(0.0, 0.0, 0.0), earth=EARTH, area_in_disc_m2=0.0,
+    )
+
+
+@st.composite
+def band_maps(draw):
+    """Rectangles in the row order the map builder emits, on a coarse integer
+    grid so that touching rectangles, shared band edges and gaps between
+    bands all occur; any rectangle, and so any band, may be missing."""
+    rects = []
+    y = draw(st.integers(-20, 20))
+    for _ in range(draw(st.integers(0, 6))):
+        top = y + draw(st.integers(1, 4))
+        x = draw(st.integers(-20, 0))
+        for _ in range(draw(st.integers(0, 5))):
+            x += draw(st.integers(0, 3))  # gap, possibly zero
+            right = x + draw(st.integers(1, 4))
+            if draw(st.booleans()):
+                rects.append((x, y, right, top))
+            x = right
+        y = top + draw(st.sampled_from([0, 0, 1]))  # usually a shared edge
+    return rects
+
+
+@settings(max_examples=200, deadline=None)
+@example(rects=[], probes=[(0, 0), (3, -1)])
+@given(
+    rects=band_maps(),
+    probes=st.lists(
+        st.tuples(st.integers(-50, 80), st.integers(-50, 80)), max_size=40
+    ),
+)
+def test_covers_local_matches_brute_force_on_band_maps(rects, probes):
+    refl = _map_of(rects)
+    ex, ey = _edge_probes(rects)
+    half = np.asarray(probes, float).reshape(-1, 2) / 2.0  # on and between grid lines
+    x = np.concatenate([ex, half[:, 0]])
+    y = np.concatenate([ey, half[:, 1]])
+    assert np.array_equal(refl.covers_local(x, y), covers_brute_force(refl.rects, x, y))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    coverage=st.floats(0.05, 0.9),
+    min_side=st.floats(800.0, 2_000.0),
+)
+def test_covers_local_matches_brute_force_on_built_maps(seed, coverage, min_side):
+    cfg = ScenarioConfig(
+        cell_radius_m=10_000.0, coverage_fraction=coverage,
+        rectangle_sides=RectangleSides(min_m=min_side, max_m=2.0 * min_side),
+    )
+    try:
+        refl = build_reflector_map(cfg, seed)
+    except CoverageError:  # a small cell can fall short of the target
+        reject()
+    rng = np.random.default_rng(seed)
+    ex, ey = _edge_probes(refl.rects)
+    x = np.concatenate([ex, rng.uniform(-11_000.0, 11_000.0, 2_000)])
+    y = np.concatenate([ey, rng.uniform(-11_000.0, 11_000.0, 2_000)])
+    assert np.array_equal(refl.covers_local(x, y), covers_brute_force(refl.rects, x, y))
 
 
 def test_rectangle_side_bounds_validated():
-    with pytest.raises(Exception):
+    with pytest.raises(ConfigError):
         ScenarioConfig(rectangle_sides=RectangleSides(min_m=1.0, max_m=5000.0)).validate()

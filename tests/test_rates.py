@@ -8,12 +8,14 @@ from noma_outage.channel import LinkBudget
 from noma_outage.rates import (
     MultCounter,
     RateEvaluator,
-    RateVector,
     brute_force_eval_count,
-    group_rate,
-    snr_linear,
     subset_conditions_hold,
 )
+
+
+def group_rate(h, s, t, gamma, counter=None):
+    """R_S^T on a fresh evaluator for h."""
+    return RateEvaluator(h, gamma).group_rate(s, t, counter)
 
 
 # ---------------------------------------------------------------------------
@@ -21,17 +23,17 @@ from noma_outage.rates import (
 # ---------------------------------------------------------------------------
 
 def test_snr_unity_when_power_equals_noise():
-    assert snr_linear(LinkBudget(tx_power_dbm=-30.0, noise_power_dbm=-30.0)) == 1.0
+    assert LinkBudget(tx_power_dbm=-30.0, noise_power_dbm=-30.0).snr_linear == 1.0
 
 
 def test_snr_default_budget():
-    assert snr_linear(LinkBudget()) == pytest.approx(10.0**14.8, rel=1e-12)
-    assert snr_linear(LinkBudget()) == pytest.approx(6.31e14, rel=0.01)
+    assert LinkBudget().snr_linear == pytest.approx(10.0**14.8, rel=1e-12)
+    assert LinkBudget().snr_linear == pytest.approx(6.31e14, rel=0.01)
 
 
 def test_snr_ten_db_steps():
-    base = snr_linear(LinkBudget())
-    assert snr_linear(LinkBudget(tx_power_dbm=51.0)) == pytest.approx(10.0 * base, rel=1e-12)
+    base = LinkBudget().snr_linear
+    assert LinkBudget(tx_power_dbm=51.0).snr_linear == pytest.approx(10.0 * base, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -148,15 +150,16 @@ def test_singleton_subset_condition_is_single_rate_check():
     gamma = 4.0
     rate = group_rate(h, (1,), (0, 2), gamma)
     r = np.zeros(3)
+    ev = RateEvaluator(h, gamma)
     r[1] = rate * 0.999
-    assert subset_conditions_hold(h, r, (1,), (0, 2), gamma)
+    assert subset_conditions_hold(ev, r, (1,), (0, 2))
     r[1] = rate * 1.001
-    assert not subset_conditions_hold(h, r, (1,), (0, 2), gamma)
+    assert not subset_conditions_hold(ev, r, (1,), (0, 2))
 
 
 def test_zero_rates_always_hold():
     h = random_channel(np.random.default_rng(6), 4, 4)
-    assert subset_conditions_hold(h, np.zeros(4), (0, 1, 2, 3), (), 2.0)
+    assert subset_conditions_hold(RateEvaluator(h, 2.0), np.zeros(4), (0, 1, 2, 3), ())
 
 
 def test_corner_point_rates_feasible_with_equality():
@@ -170,9 +173,9 @@ def test_corner_point_rates_feasible_with_equality():
     r2 = ev.group_rate((1,), (0,))       # aircraft 1 under 0's interference
     total = ev.group_rate((0, 1), ())
     assert a + r2 == pytest.approx(total, rel=1e-12)
-    assert subset_conditions_hold(ev, np.array([a, r2]), (0, 1), (), gamma)
+    assert subset_conditions_hold(ev, np.array([a, r2]), (0, 1), ())
     bumped = np.array([a, r2 * (1.0 + 1e-9)])
-    assert not subset_conditions_hold(ev, bumped, (0, 1), (), gamma)
+    assert not subset_conditions_hold(ev, bumped, (0, 1), ())
 
 
 def test_subset_conditions_count_short_circuit():
@@ -181,7 +184,7 @@ def test_subset_conditions_count_short_circuit():
     m = 2
     counter = MultCounter()
     huge = np.full(4, 1e6)
-    assert not subset_conditions_hold(h, huge, (0, 1, 2), (3,), 1.0, counter)
+    assert not subset_conditions_hold(RateEvaluator(h, 1.0), huge, (0, 1, 2), (3,), counter)
     assert counter.total == m**2 * (3 + 1) + 2 * m**3
 
 
@@ -210,18 +213,3 @@ def test_eval_count_rejects_bad_k():
     with pytest.raises(ValueError):
         brute_force_eval_count(0)
 
-
-# ---------------------------------------------------------------------------
-# rate vectors
-# ---------------------------------------------------------------------------
-
-def test_rate_vector_equal_mode():
-    rv = RateVector.equal_rate(4, 3.0)
-    assert rv.rates == (3.0, 3.0, 3.0, 3.0)
-    assert rv.guaranteed_rate == 3.0
-
-
-def test_rate_vector_variable_mode_enforces_floor():
-    RateVector.variable_rate([2.0, 2.5, 5.9], 2.0)
-    with pytest.raises(ValueError):
-        RateVector.variable_rate([1.0, 3.0], 2.0)
