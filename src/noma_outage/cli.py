@@ -1,6 +1,6 @@
 """Command-line front end: sweep execution, oracle validation, complexity.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime failure,
+Exit codes: 0 success, 1 configuration or usage error, 2 runtime failure,
 3 validation violation (a counterexample is dumped as JSON).
 """
 
@@ -11,12 +11,7 @@ import os
 import sys
 import tempfile
 
-from .config import (
-    ConfigError,
-    ScenarioConfig,
-    load_config,
-    parse_algorithm,
-)
+from .config import ConfigError, ScenarioConfig, load_config
 from .montecarlo import SweepRow, run_sweep
 from .rates import brute_force_eval_count
 from .validation import run_validation
@@ -83,25 +78,16 @@ def _write_atomic(path: str, text: str) -> None:
 def _resolve_config(args) -> ScenarioConfig:
     cfg = load_config(args.config) if args.config else ScenarioConfig()
     overrides = {}
-    if getattr(args, "preset", None):
+    if args.preset:
         overrides.update(PRESETS[args.preset])
     if args.trials is not None:
         overrides["trials"] = args.trials
     if args.seed is not None:
         overrides["master_seed"] = args.seed
     if args.algorithms is not None:
-        tokens = tuple(t.strip() for t in args.algorithms.split(",") if t.strip())
-        if args.vmax is not None:
-            tokens = tuple(
-                f"LGSA:{args.vmax}" if t.upper() == "LGSA" else t for t in tokens
-            )
-        overrides["algorithms"] = tokens
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("NOMA_OUTAGE_THREADS")
-        threads = int(env) if env else None
-    if threads is not None:
-        overrides["threads"] = threads
+        overrides["algorithms"] = tuple(t.strip() for t in args.algorithms.split(",") if t.strip())
+    if args.threads is not None:
+        overrides["threads"] = args.threads
     cfg = cfg.replace(**overrides) if overrides else cfg
     cfg.validate()
     return cfg
@@ -146,21 +132,20 @@ def cmd_complexity(args) -> int:
     print("K,brute_force_evaluations")
     for k in args.K:
         print(f"{k},{brute_force_eval_count(k)}")
-    if args.config or args.trials:
-        try:
-            cfg = _resolve_config(args)
-        except (ConfigError, OSError, ValueError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
-        rows = run_sweep(cfg)
-        print("algorithm,K,r_G,avg_mults")
-        for row in rows:
-            print(f"{row.algorithm},{row.k},{_g6(row.r_g)},{_g6(row.estimate.avg_mults)}")
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a configuration error: exit 1, not argparse's 2,
+    which the exit codes reserve for runtime failures."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="noma-outage",
         description="Minimum-outage-probability simulation for a multiuser "
         "multiple-antenna NOMA uplink over an air-ground channel.",
@@ -174,8 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--trials", type=int)
     sweep.add_argument("--seed", type=int, help="master seed override")
     sweep.add_argument("--algorithms", help="comma-separated algorithm tokens")
-    sweep.add_argument("--vmax", type=int, help="group-size limit for bare LGSA tokens")
-    sweep.add_argument("--threads", type=int, help="worker processes (env NOMA_OUTAGE_THREADS)")
+    sweep.add_argument("--threads", type=int, help="worker processes")
     sweep.set_defaults(func=cmd_sweep)
 
     val = sub.add_parser("validate", help="cross-check algorithms against brute-force oracles")
@@ -185,14 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="fault-injection shift applied to algorithm comparisons only")
     val.set_defaults(func=cmd_validate)
 
-    comp = sub.add_parser("complexity", help="brute-force evaluation counts and measured costs")
+    comp = sub.add_parser("complexity", help="brute-force evaluation counts")
     comp.add_argument("--K", type=int, nargs="+", required=True)
-    comp.add_argument("--config", help="optional scenario for measured average multiplications")
-    comp.add_argument("--trials", type=int)
-    comp.add_argument("--seed", type=int)
-    comp.add_argument("--algorithms")
-    comp.add_argument("--vmax", type=int)
-    comp.add_argument("--threads", type=int)
     comp.set_defaults(func=cmd_complexity)
     return parser
 

@@ -87,7 +87,6 @@ class ScenarioConfig:
     algorithms: tuple[str, ...] = DEFAULT_ALGORITHMS
     trials: int = 2000
     master_seed: int = 0
-    comparison_epsilon: float = 0.0
     freeze_reflector_map: bool = False
     threads: int = 1
 

@@ -36,7 +36,6 @@ class DecodeOutcome:
 
     decoded: frozenset
     outage: frozenset
-    undetermined: frozenset
     decode_plan: tuple[tuple[int, ...], ...]
     mult_count: int
 
@@ -204,9 +203,7 @@ def ssa(h, r, gamma, counter=None, eps=0.0) -> DecodeOutcome:
     ev = _as_evaluator(h, gamma)
     own = MultCounter() if counter is None else counter
     l_set, s_star, s_hat, plan = _ssa_phases(ev, np.asarray(r, dtype=float), own, eps)
-    return DecodeOutcome(
-        frozenset(s_star), frozenset(s_hat | l_set), frozenset(), tuple(plan), own.total
-    )
+    return DecodeOutcome(frozenset(s_star), frozenset(s_hat | l_set), tuple(plan), own.total)
 
 
 def lgsa(h, r, gamma, v_max, counter=None, eps=0.0) -> DecodeOutcome:
@@ -220,7 +217,7 @@ def lgsa(h, r, gamma, v_max, counter=None, eps=0.0) -> DecodeOutcome:
     _prune_subsets(ev, rr, l_set, s_hat, own, eps)
     _greedy_group(ev, rr, l_set, s_star, s_hat, plan, v_max, own, eps)
     s_hat |= l_set
-    return DecodeOutcome(frozenset(s_star), frozenset(s_hat), frozenset(), tuple(plan), own.total)
+    return DecodeOutcome(frozenset(s_star), frozenset(s_hat), tuple(plan), own.total)
 
 
 def gsa(h, r, gamma, counter=None, eps=0.0) -> DecodeOutcome:

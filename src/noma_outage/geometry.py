@@ -24,6 +24,11 @@ MAX_PLACEMENT_ATTEMPTS = 10_000
 #: bracket below 1e-18, far past the 1 mm path-length tolerance.
 _BISECT_ITERS = 60
 
+#: Row fill of the fullest reflector-map layout, and the number of layouts
+#: tried before a coverage target counts as unreachable.
+_MAX_FILL = 0.98
+_MAP_LAYOUTS = 8
+
 
 class CellCapacityError(RuntimeError):
     """Rejection sampling could not satisfy the minimum-separation constraint."""
@@ -313,24 +318,10 @@ def _rect_disc_areas(rects: np.ndarray, radius: float) -> np.ndarray:
     return areas
 
 
-def build_reflector_map(cfg: ScenarioConfig, seed: int) -> ReflectorMap:
-    """Build the random reflective-area map for one channel realization.
-
-    Rectangles are laid out in horizontal rows of random height; within a row
-    widths and gaps are drawn independently, which guarantees non-overlap by
-    construction at any coverage level.  The realized in-disc area is then
-    calibrated to the coverage target by deleting a random subset, leaving an
-    error below one rectangle area (~0.02% of the disc).
-    """
-    if not 0.0 < cfg.coverage_fraction < 1.0:
-        raise CoverageError(f"coverage_fraction must be in (0, 1), got {cfg.coverage_fraction}")
-    rng = np.random.default_rng(seed)
-    radius = cfg.cell_radius_m
-    smin, smax = cfg.rectangle_sides.min_m, cfg.rectangle_sides.max_m
-    target = cfg.coverage_fraction
-    fill = min(target * 1.08 + 0.01, 0.98)
-    if target >= 0.95:
-        raise CoverageError(f"coverage_fraction {target} exceeds the achievable fill")
+def _lay_rows(rng: np.random.Generator, radius: float, smin: float, smax: float, fill: float) -> np.ndarray:
+    """Rectangles in horizontal rows covering the disc's bounding square,
+    each row filled to about ``fill``; only those whose box meets the disc
+    are kept."""
     mean_w = 0.5 * (smin + smax)
     mean_gap = mean_w * (1.0 - fill) / fill
     xlo, xhi = -radius - smax, radius + smax
@@ -352,21 +343,49 @@ def build_reflector_map(cfg: ScenarioConfig, seed: int) -> ReflectorMap:
             widths = np.r_[widths, more_w]
             gaps = np.r_[gaps, more_g]
         rect = np.column_stack([starts, np.full_like(starts, y), starts + widths, np.full_like(starts, y + h)])
-        # keep rectangles whose box intersects the cell disc
         cx = np.clip(0.0, rect[:, 0], rect[:, 2])
         cy = np.clip(0.0, rect[:, 1], rect[:, 3])
         rows.append(rect[cx**2 + cy**2 <= radius**2])
         y += h
-    rects = np.vstack(rows) if rows else np.zeros((0, 4))
+    return np.vstack(rows) if rows else np.zeros((0, 4))
 
-    areas = _rect_disc_areas(rects, radius)
+
+def build_reflector_map(cfg: ScenarioConfig, seed: int) -> ReflectorMap:
+    """Build the random reflective-area map for one channel realization.
+
+    Rectangles are laid out in horizontal rows of random height; within a row
+    widths and gaps are drawn independently, which guarantees non-overlap by
+    construction at any coverage level.  The rows are filled a little above
+    the coverage target; when a cell holds only a few large rectangles that
+    margin can fall short, and the rows are laid out again, from the same
+    stream, at a fill halfway to the fullest.  The realized in-disc area is
+    then calibrated to the target by deleting a random subset, leaving an
+    error below one rectangle area (~0.02% of the disc).
+    """
+    if not 0.0 < cfg.coverage_fraction < 1.0:
+        raise CoverageError(f"coverage_fraction must be in (0, 1), got {cfg.coverage_fraction}")
+    rng = np.random.default_rng(seed)
+    radius = cfg.cell_radius_m
+    smin, smax = cfg.rectangle_sides.min_m, cfg.rectangle_sides.max_m
+    target = cfg.coverage_fraction
+    if target >= 0.95:
+        raise CoverageError(f"coverage_fraction {target} exceeds the achievable fill")
     disc_area = math.pi * radius**2
     target_area = target * disc_area
-    total = float(areas.sum())
-    if total < target_area:
+    fill = min(target * 1.08 + 0.01, _MAX_FILL)
+    for _ in range(_MAP_LAYOUTS):
+        rects = _lay_rows(rng, radius, smin, smax, fill)
+        areas = _rect_disc_areas(rects, radius)
+        total = float(areas.sum())
+        if total >= target_area:
+            break
+        fill = 0.5 * (fill + _MAX_FILL)
+    else:
         raise CoverageError(
-            f"coverage target {target} unreachable: placed {total / disc_area:.4f}"
+            f"coverage target {target} unreachable: placed {total / disc_area:.4f} "
+            f"after {_MAP_LAYOUTS} layouts"
         )
+
     order = rng.permutation(len(rects))
     keep = np.ones(len(rects), dtype=bool)
     for idx in order:

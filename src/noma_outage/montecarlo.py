@@ -121,11 +121,17 @@ def _one_at_a_time(name, ev, h, rates, gamma, random_order, eps) -> DecodeOutcom
             order = random_order
         elif name == "SIC_CGTR":
             order = decoders.cgtr_order(h, rates)
-        else:  # SIC_VBLAST: the ordering's own evaluations are counted too
-            order = decoders.vblast_order(ev, rates, gamma, counter=counter)
+        else:
+            # SIC_VBLAST: the order does not depend on the rates, so it is found
+            # once per evaluator; its evaluations are counted at every point
+            if ev.vblast is None:
+                found = MultCounter()
+                ev.vblast = (decoders.vblast_order(ev, rates, gamma, counter=found), found.total)
+            order, mults = ev.vblast
+            counter.add(mults)
         decoded = decoders.decode_with_order(ev, rates, order, gamma, counter=counter, eps=eps)
     plan = tuple((i,) for i in order if i in decoded)
-    return DecodeOutcome(decoded, frozenset(range(ev.k)) - decoded, frozenset(), plan, counter.total)
+    return DecodeOutcome(decoded, frozenset(range(ev.k)) - decoded, plan, counter.total)
 
 
 def run_algorithms(
@@ -166,8 +172,7 @@ def run_trial(
         rates = np.full(cfg.k_aircraft, cfg.r_g_list[0] if r_g is None else float(r_g))
     ev = RateEvaluator(chan.h, gamma)
     return run_algorithms(
-        ev, chan.h, rates, gamma, cfg.algorithms, _random_order(cfg, trial_index, cfg.k_aircraft),
-        eps=cfg.comparison_epsilon,
+        ev, chan.h, rates, gamma, cfg.algorithms, _random_order(cfg, trial_index, cfg.k_aircraft)
     )
 
 
@@ -203,9 +208,7 @@ def _sweep_trial(args) -> list[dict[str, tuple[int, int]]]:
             ev = RateEvaluator(h, gamma)
             rand_order = _random_order(cfg, trial_index, k)
         rates = np.full(k, r_g) if drawn is None else drawn[:k]
-        res = run_algorithms(
-            ev, h, rates, gamma, cfg.algorithms, rand_order, eps=cfg.comparison_epsilon
-        )
+        res = run_algorithms(ev, h, rates, gamma, cfg.algorithms, rand_order)
         out.append({tok: (o.n_decoded, o.mult_count) for tok, o in res.items()})
     return out
 
@@ -218,14 +221,14 @@ def _map_trials(tasks, threads: int):
         return list(pool.map(_sweep_trial, tasks, chunksize=chunk))
 
 
-def run_sweep(cfg: ScenarioConfig, threads: int | None = None) -> list[SweepRow]:
-    """Run the configured sweep; one row per (algorithm, sweep point).
+def run_sweep(cfg: ScenarioConfig) -> list[SweepRow]:
+    """Run the configured sweep on ``cfg.threads`` workers; one row per
+    (algorithm, sweep point).
 
     Aggregation is an order-insensitive integer reduction, so the result is
     identical for any worker count."""
     cfg.validate()
-    n_threads = cfg.threads if threads is None else threads
-    per_trial = _map_trials([(cfg, i) for i in range(cfg.trials)], n_threads)
+    per_trial = _map_trials([(cfg, i) for i in range(cfg.trials)], cfg.threads)
     rows: list[SweepRow] = []
     for j, (k, r_g) in enumerate(_sweep_points(cfg)):
         for tok in cfg.algorithms:

@@ -62,6 +62,9 @@ class RateEvaluator:
         self._gram = self.gamma * (h.conj().T @ h)
         self._cap: dict[tuple[int, ...], float] = {(): 0.0}
         self._inv: dict[tuple[int, ...], np.ndarray] = {}
+        #: (V-BLAST order, mults that found it) on this channel, filled by
+        #: the first SIC_VBLAST run: the order does not depend on the rates.
+        self.vblast: tuple[tuple[int, ...], int] | None = None
 
     def capacity(self, ids: Sequence[int]) -> float:
         """C(A) = log2 det(I + g H_A^H H_A) for a set of column indices."""

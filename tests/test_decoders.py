@@ -129,7 +129,6 @@ def test_ssa_zero_rates_decodes_everyone():
     res = ssa(h, np.zeros(5), 1.0)
     assert res.decoded == frozenset(range(5))
     assert res.outage == frozenset()
-    assert res.undetermined == frozenset()
 
 
 def test_ssa_unreachable_rates_all_outage():
@@ -470,7 +469,6 @@ def test_outcomes_partition_and_plan_replay():
             everyone = frozenset(range(k))
             assert res.decoded | res.outage == everyone
             assert not res.decoded & res.outage
-            assert res.undetermined == frozenset()
             flattened = [i for grp in res.decode_plan for i in grp]
             assert sorted(flattened) == sorted(res.decoded)
             # replay the plan: each group feasible against later groups + outage

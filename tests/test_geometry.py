@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, reject, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import covers_brute_force, great_circle_distance
@@ -314,6 +314,7 @@ def test_covers_local_matches_brute_force_on_band_maps(rects, probes):
 
 
 @settings(max_examples=20, deadline=None)
+@example(seed=0, coverage=0.05, min_side=1_400.0)  # the first row layout places nothing
 @given(
     seed=st.integers(0, 2**32 - 1),
     coverage=st.floats(0.05, 0.9),
@@ -324,10 +325,7 @@ def test_covers_local_matches_brute_force_on_built_maps(seed, coverage, min_side
         cell_radius_m=10_000.0, coverage_fraction=coverage,
         rectangle_sides=RectangleSides(min_m=min_side, max_m=2.0 * min_side),
     )
-    try:
-        refl = build_reflector_map(cfg, seed)
-    except CoverageError:  # a small cell can fall short of the target
-        reject()
+    refl = build_reflector_map(cfg, seed)
     rng = np.random.default_rng(seed)
     ex, ey = _edge_probes(refl.rects)
     x = np.concatenate([ex, rng.uniform(-11_000.0, 11_000.0, 2_000)])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from noma_outage import decoders
 from noma_outage.config import ConfigError, ScenarioConfig
 from noma_outage.montecarlo import (
     OutageEstimate,
@@ -120,8 +121,8 @@ def test_sweep_parallel_matches_serial():
     equal = SMALL.replace(trials=8)
     variable = equal.replace(rate_mode="variable_rate", k_list=(4, 2, 3))
     for cfg in (equal, variable):
-        serial = run_sweep(cfg, threads=1)
-        parallel = run_sweep(cfg, threads=2)
+        serial = run_sweep(cfg.replace(threads=1))
+        parallel = run_sweep(cfg.replace(threads=2))
         assert serial == parallel, cfg.rate_mode
 
 
@@ -150,6 +151,25 @@ def test_variable_rate_sweep_sums_per_k_trials():
     for row in rows:
         outcomes = [res[row.algorithm] for res in per_k[row.k]]
         assert row.r_g == cfg.r_g
+        assert row.estimate.decoded_total == sum(o.n_decoded for o in outcomes), row
+        assert row.estimate.mult_total == sum(o.mult_count for o in outcomes), row
+
+
+def test_equal_rate_sweep_finds_vblast_order_once_per_trial(monkeypatch):
+    calls = []
+    vblast_order = decoders.vblast_order
+
+    def counted_vblast_order(*args, **kwargs):
+        calls.append(args)
+        return vblast_order(*args, **kwargs)
+
+    monkeypatch.setattr(decoders, "vblast_order", counted_vblast_order)
+    cfg = SMALL.replace(r_g_list=(1.0, 3.0, 5.0, 7.0), trials=4)
+    rows = run_sweep(cfg)
+    assert len(calls) == cfg.trials
+    # every point is charged the ordering's evaluations, as a lone trial is
+    for row in rows:
+        outcomes = [run_trial(cfg, i, row.r_g)[row.algorithm] for i in range(cfg.trials)]
         assert row.estimate.decoded_total == sum(o.n_decoded for o in outcomes), row
         assert row.estimate.mult_total == sum(o.mult_count for o in outcomes), row
 
