@@ -110,8 +110,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.instances < 1:
-        print("validate: --instances must be >= 1", file=sys.stderr)
+    if args.instances < 1 or args.seed < 0:
+        print(f"config error: validate needs --instances >= 1 and --seed >= 0, got "
+              f"{args.instances} and {args.seed}", file=sys.stderr)
         return 1
     report = run_validation(args.seed, args.instances, mutation_eps=args.epsilon)
     mix = ", ".join(f"{k}={v}" for k, v in sorted(report.decoded_histogram.items()))

@@ -1,4 +1,4 @@
-"""Scenario configuration: physical constants, sweep setup, serialization.
+"""Scenario configuration: physical constants, sweep setup, YAML loading.
 
 Defaults reproduce the reference deployment: a ground station 500 m above
 mean sea level at the center of a 222 km cell, aircraft at 10 km altitude
@@ -9,6 +9,7 @@ with 10 km minimum separation, a 64-element half-wavelength planar array at
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -28,6 +29,26 @@ class ConfigError(ValueError):
     """Raised when a configuration violates the schema."""
 
 
+_FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
+
+
+def _check_field_types(obj, prefix: str = "") -> None:
+    """Reject a value of the wrong type, e.g. a YAML "2" or 1.5 where an int
+    belongs; a bool is not taken for a number."""
+    for f in dataclasses.fields(obj):
+        kind, values = f.type, (getattr(obj, f.name),)
+        if kind.startswith("tuple["):
+            if not isinstance(values[0], tuple):
+                raise ConfigError(f"{prefix}{f.name} must be a list, got {values[0]!r}")
+            kind, values = kind[len("tuple["):].split(",")[0], values[0]
+        expected = _FIELD_KINDS.get(kind)
+        if expected is None:
+            continue  # a nested parameter block checks its own fields
+        for value in values:
+            if not isinstance(value, expected) or (isinstance(value, bool) and kind != "bool"):
+                raise ConfigError(f"{prefix}{f.name} must be of type {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GroundParams:
     """Electrical properties of the reflecting ground (dry ground defaults)."""
@@ -36,6 +57,7 @@ class GroundParams:
     sigma_sm: float = 1e-4
 
     def validate(self) -> None:
+        _check_field_types(self, "ground.")
         if self.eps_r < 1.0:
             raise ConfigError(f"ground.eps_r must be >= 1, got {self.eps_r}")
         if self.sigma_sm < 0.0:
@@ -51,6 +73,7 @@ class RectangleSides:
     max_m: float = 5000.0
 
     def validate(self) -> None:
+        _check_field_types(self, "rectangle_sides.")
         if not 0 < self.min_m <= self.max_m:
             raise ConfigError(
                 f"rectangle sides need 0 < min <= max, got {self.min_m}, {self.max_m}"
@@ -91,6 +114,7 @@ class ScenarioConfig:
     threads: int = 1
 
     def validate(self) -> None:
+        _check_field_types(self)
         positive = (
             ("earth_radius_m", self.earth_radius_m),
             ("cell_radius_m", self.cell_radius_m),
@@ -131,6 +155,8 @@ class ScenarioConfig:
                 raise ConfigError(f"r_max must be >= r_g, got {self.r_max} < {self.r_g}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
         for token in self.algorithms:
@@ -163,18 +189,6 @@ def parse_algorithm(token: str) -> tuple[str, int | None]:
     return name, None
 
 
-def _to_plain(obj: Any) -> Any:
-    if dataclasses.is_dataclass(obj):
-        return {f.name: _to_plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, tuple):
-        return [_to_plain(v) for v in obj]
-    return obj
-
-
-def config_to_dict(cfg: ScenarioConfig) -> dict:
-    return _to_plain(cfg)
-
-
 def config_from_dict(data: dict) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be a mapping, got {type(data).__name__}")
@@ -187,17 +201,13 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         if name == "ground":
             if not isinstance(value, dict) or set(value) - {"eps_r", "sigma_sm"}:
                 raise ConfigError(f"ground must map eps_r/sigma_sm, got {value!r}")
-            kwargs[name] = GroundParams(**{k: float(v) for k, v in value.items()})
+            kwargs[name] = GroundParams(**value)
         elif name == "rectangle_sides":
             if not isinstance(value, dict) or set(value) - {"min_m", "max_m"}:
                 raise ConfigError(f"rectangle_sides must map min_m/max_m, got {value!r}")
-            kwargs[name] = RectangleSides(**{k: float(v) for k, v in value.items()})
-        elif name in ("r_g_list",):
-            kwargs[name] = tuple(float(v) for v in value)
-        elif name == "k_list":
-            kwargs[name] = tuple(int(v) for v in value)
-        elif name == "algorithms":
-            kwargs[name] = tuple(str(v) for v in value)
+            kwargs[name] = RectangleSides(**value)
+        elif name in ("r_g_list", "k_list", "algorithms") and isinstance(value, list):
+            kwargs[name] = tuple(value)
         else:
             kwargs[name] = value
     try:
@@ -218,8 +228,3 @@ def load_config(path: str) -> ScenarioConfig:
     if data is None:
         data = {}
     return config_from_dict(data)
-
-
-def save_config(cfg: ScenarioConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(config_to_dict(cfg), fh, sort_keys=False)

@@ -166,10 +166,10 @@ def _scan_groups_of_size(ev, r, l_set, s_hat, v, counter, eps):
             counter.add(cost_full * (len(chunk) - scanned))
 
 
-def _greedy_group(ev, r, l_set, s_star, s_hat, plan, v_max, counter, eps) -> None:
-    """Search decodable groups of growing size; after any success drop back
-    to singletons, since the shrunken constraint sets may unlock SIC moves."""
-    v = 2
+def _greedy_group(ev, r, l_set, s_star, s_hat, plan, v_max, counter, eps, v=2) -> int:
+    """Search decodable groups of growing size from v; after any success drop
+    back to singletons, since the shrunken constraint sets may unlock SIC
+    moves.  Returns the size it stopped at, where a larger v_max resumes."""
     while v <= min(len(l_set), v_max):
         hit = _scan_groups_of_size(ev, r, l_set, s_hat, v, counter, eps)
         if hit is not None:
@@ -179,52 +179,51 @@ def _greedy_group(ev, r, l_set, s_star, s_hat, plan, v_max, counter, eps) -> Non
             v = 1
         else:
             v += 1
+    return v
 
 
 # ---------------------------------------------------------------------------
 # Full algorithms
 # ---------------------------------------------------------------------------
 
-def _ssa_phases(ev, r, counter, eps):
-    l_set = set(range(ev.k))
-    s_star: set[int] = set()
-    s_hat: set[int] = set()
-    plan: list[tuple[int, ...]] = []
-    _prune_aircraft(ev, r, l_set, s_hat, counter, eps)
-    _greedy_sic(ev, r, l_set, s_star, s_hat, plan, counter, eps)
-    return l_set, s_star, s_hat, plan
+def successive(ev: RateEvaluator, r, limits: Sequence[int], eps=0.0) -> list[DecodeOutcome]:
+    """SSA, LGSA and GSA in one run, one outcome per group-size limit: 0 is
+    SSA, v is LGSA:v and K is GSA.  Each limited run is a prefix of the next,
+    so every outcome, mult count included, equals a separate run of its limit."""
+    rr = np.asarray(r, dtype=float)
+    counter = MultCounter()
+    l_set, s_star, s_hat, plan = set(range(ev.k)), set(), set(), []
+    _prune_aircraft(ev, rr, l_set, s_hat, counter, eps)
+    _greedy_sic(ev, rr, l_set, s_star, s_hat, plan, counter, eps)
+    by_limit, v = {}, 0
+    for limit in sorted(set(limits)):
+        if limit >= 1:
+            if not v:  # the pair prune runs once, before the first group search
+                _prune_subsets(ev, rr, l_set, s_hat, counter, eps)
+                v = 2
+            v = _greedy_group(ev, rr, l_set, s_star, s_hat, plan, limit, counter, eps, v)
+        by_limit[limit] = DecodeOutcome(frozenset(s_star), frozenset(s_hat | l_set), tuple(plan), counter.total)
+    return [by_limit[limit] for limit in limits]
 
 
-def ssa(h, r, gamma, counter=None, eps=0.0) -> DecodeOutcome:
-    """Single successive algorithm: optimal SIC-only decoded set.
-
-    Residual undetermined aircraft cannot be SIC-decoded in any order and are
-    reported as outage (they may still be group-decodable; see ``gsa``)."""
-    ev = _as_evaluator(h, gamma)
-    own = MultCounter() if counter is None else counter
-    l_set, s_star, s_hat, plan = _ssa_phases(ev, np.asarray(r, dtype=float), own, eps)
-    return DecodeOutcome(frozenset(s_star), frozenset(s_hat | l_set), tuple(plan), own.total)
+def ssa(h, r, gamma, eps=0.0) -> DecodeOutcome:
+    """Single successive algorithm: optimal SIC-only decoded set; aircraft no
+    SIC order decodes are outage, though ``gsa`` may decode them in groups."""
+    return successive(_as_evaluator(h, gamma), r, (0,), eps)[0]
 
 
-def lgsa(h, r, gamma, v_max, counter=None, eps=0.0) -> DecodeOutcome:
+def lgsa(h, r, gamma, v_max, eps=0.0) -> DecodeOutcome:
     """Group successive algorithm with joint groups limited to v_max."""
     if v_max < 1:
         raise ValueError(f"v_max must be >= 1, got {v_max}")
-    ev = _as_evaluator(h, gamma)
-    own = MultCounter() if counter is None else counter
-    rr = np.asarray(r, dtype=float)
-    l_set, s_star, s_hat, plan = _ssa_phases(ev, rr, own, eps)
-    _prune_subsets(ev, rr, l_set, s_hat, own, eps)
-    _greedy_group(ev, rr, l_set, s_star, s_hat, plan, v_max, own, eps)
-    s_hat |= l_set
-    return DecodeOutcome(frozenset(s_star), frozenset(s_hat), tuple(plan), own.total)
+    return successive(_as_evaluator(h, gamma), r, (v_max,), eps)[0]
 
 
-def gsa(h, r, gamma, counter=None, eps=0.0) -> DecodeOutcome:
+def gsa(h, r, gamma, eps=0.0) -> DecodeOutcome:
     """Group successive algorithm: maximal decodable set with unrestricted
     joint group sizes."""
     ev = _as_evaluator(h, gamma)
-    return lgsa(ev, r, gamma, ev.k, counter=counter, eps=eps)
+    return successive(ev, r, (ev.k,), eps)[0]
 
 
 # ---------------------------------------------------------------------------

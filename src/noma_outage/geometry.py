@@ -256,14 +256,6 @@ class ReflectorMap:
     earth: EarthModel
     area_in_disc_m2: float
 
-    @property
-    def rectangles(self) -> np.ndarray:
-        """(center_x, center_y, width, length) rows, for reporting."""
-        r = self.rects
-        return np.column_stack(
-            [(r[:, 0] + r[:, 2]) / 2, (r[:, 1] + r[:, 3]) / 2, r[:, 2] - r[:, 0], r[:, 3] - r[:, 1]]
-        )
-
     def covers_local(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Membership test for points given in local ground coordinates;
         rectangle edges count as inside.

@@ -146,16 +146,15 @@ def run_algorithms(
     """Run the selected algorithms on one realization; shared evaluator,
     per-algorithm counters."""
     results: dict[str, DecodeOutcome] = {}
+    limits: dict[str, int] = {}
     for token in algorithms:
         name, v_max = parse_algorithm(token)
-        if name == "SSA":
-            results[token] = decoders.ssa(ev, rates, gamma, eps=eps)
-        elif name == "GSA":
-            results[token] = decoders.gsa(ev, rates, gamma, eps=eps)
-        elif name == "LGSA":
-            results[token] = decoders.lgsa(ev, rates, gamma, v_max, eps=eps)
+        if name in ("SSA", "LGSA", "GSA"):
+            limits[token] = {"SSA": 0, "LGSA": v_max, "GSA": ev.k}[name]
         else:
             results[token] = _one_at_a_time(name, ev, h, rates, gamma, random_order, eps)
+    if limits:  # SSA, LGSA:v and GSA read off one run of the nested family
+        results.update(zip(limits, decoders.successive(ev, rates, list(limits.values()), eps)))
     return results
 
 
@@ -214,10 +213,12 @@ def _sweep_trial(args) -> list[dict[str, tuple[int, int]]]:
 
 
 def _map_trials(tasks, threads: int):
-    if threads <= 1:
+    # a pool starts all its workers at the first submit: no more than tasks
+    workers = min(threads, len(tasks))
+    if workers <= 1:
         return [_sweep_trial(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        chunk = max(1, len(tasks) // (8 * threads))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, len(tasks) // (8 * workers))
         return list(pool.map(_sweep_trial, tasks, chunksize=chunk))
 
 

@@ -1,5 +1,6 @@
 """Shared test oracles, independent of the library's evaluation shortcuts."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -66,3 +67,13 @@ def covers_brute_force(rects, x, y):
     return (
         (px >= r[None, :, 0]) & (px <= r[None, :, 2]) & (py >= r[None, :, 1]) & (py <= r[None, :, 3])
     ).any(axis=1)
+
+
+def config_dict(cfg):
+    """Every field of a config as plain YAML-ready data: nested blocks as
+    mappings, tuples as lists."""
+    if dataclasses.is_dataclass(cfg):
+        return {f.name: config_dict(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)}
+    if isinstance(cfg, tuple):
+        return [config_dict(v) for v in cfg]
+    return cfg

@@ -3,16 +3,10 @@ import json
 import pytest
 import yaml
 
+from helpers import config_dict
 from noma_outage import decoders
 from noma_outage.cli import main, rows_to_csv
-from noma_outage.config import (
-    ConfigError,
-    ScenarioConfig,
-    config_from_dict,
-    config_to_dict,
-    load_config,
-    save_config,
-)
+from noma_outage.config import ConfigError, ScenarioConfig, config_from_dict, load_config
 from noma_outage.montecarlo import run_sweep
 from noma_outage.validation import run_validation
 
@@ -40,13 +34,13 @@ def small_config(tmp_path):
 def test_config_round_trip(tmp_path):
     cfg = ScenarioConfig(k_aircraft=7, trials=42, coverage_fraction=0.4)
     path = tmp_path / "round.yaml"
-    save_config(cfg, str(path))
+    path.write_text(yaml.safe_dump(config_dict(cfg), sort_keys=False))
     assert load_config(str(path)) == cfg
 
 
 def test_config_dict_round_trip():
     cfg = ScenarioConfig()
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+    assert config_from_dict(config_dict(cfg)) == cfg
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -101,6 +95,35 @@ def test_sweep_rejects_bad_config(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("m_antennas: 5\n")  # not a perfect square
     assert main(["sweep", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("threads", "2"),
+        ("trials", 1.5),
+        ("k_aircraft", 4.0),
+        ("master_seed", -3),
+        ("trials", True),
+        ("k_list", [4, 8.5]),
+        ("freeze_reflector_map", 1),
+        ("ground", {"eps_r": "3"}),
+    ],
+)
+def test_sweep_rejects_ill_typed_or_negative_config(tmp_path, capsys, field, value):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump({**SMALL_YAML, field: value}))
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 1
+    assert f"config error: {field}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_rejects_negative_seed(small_config, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(small_config), "--out", str(out), "--seed", "-1"]) == 1
+    assert "config error: master_seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_runtime_failure_exit_code(small_config, tmp_path):
@@ -203,6 +226,14 @@ def test_validate_detects_injected_fault(capsys):
 
 def test_validate_rejects_zero_instances(capsys):
     assert main(["validate", "--instances", "0"]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_validate_rejects_negative_seed(capsys):
+    assert main(["validate", "--seed", "-1", "--instances", "5"]) == 1
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "--seed >= 0" in captured.err
+    assert captured.out == ""
 
 
 def test_validate_runs_gsa_once_per_instance(monkeypatch):

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import direct_group_rate, random_channel
 from noma_outage import decoders
@@ -20,7 +22,9 @@ from noma_outage.decoders import (
     ssa,
     vblast_order,
 )
+from noma_outage.montecarlo import run_algorithms
 from noma_outage.rates import MultCounter, RateEvaluator
+from noma_outage.validation import random_instance
 
 
 def _near_far_instance():
@@ -482,7 +486,47 @@ def test_outcomes_partition_and_plan_replay():
 
 def test_mult_counters_accumulate_per_algorithm():
     h = random_channel(np.random.default_rng(20), 4, 4)
-    r = np.full(4, 1.0)
+    r = np.full(4, 3.0)  # SSA decodes nobody, GSA three in a group
+    ev = RateEvaluator(h, 5.0)
     counter = MultCounter()
-    res = ssa(h, r, 5.0, counter=counter)
-    assert res.mult_count == counter.total > 0
+    l_set, s_star, s_hat = set(range(4)), set(), set()
+    _prune_aircraft(ev, r, l_set, s_hat, counter, 0.0)
+    _greedy_sic(ev, r, l_set, s_star, s_hat, [], counter, 0.0)
+    assert ssa(h, r, 5.0).mult_count == counter.total > 0
+    # each outcome carries its own count; a group decoder adds to SSA's phases
+    _prune_subsets(ev, r, l_set, s_hat, counter, 0.0)
+    _greedy_group(ev, r, l_set, s_star, s_hat, [], 4, counter, 0.0)
+    assert ssa(h, r, 5.0).mult_count < gsa(h, r, 5.0).mult_count == counter.total
+
+
+# ---------------------------------------------------------------------------
+# one pass for the nested decoders
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    eps=st.sampled_from([0.0, -0.1, 0.05]),
+    ties=st.lists(st.integers(0, 6), max_size=3),
+)
+def test_one_pass_matches_separate_runs(seed, eps, ties):
+    h, r, gamma = random_instance(np.random.default_rng(seed), k_max=7)
+    k = h.shape[1]
+    # near ties: a rate exactly at, or one ulp either side of, its rate under
+    # every other aircraft or alone
+    for j, i in enumerate(ties):
+        i %= k
+        rest = tuple(x for x in range(k) if x != i)
+        edge = RateEvaluator(h, gamma).group_rate((i,), rest if j % 2 == 0 else ())
+        r[i] = (edge, np.nextafter(edge, np.inf), np.nextafter(edge, -np.inf))[j % 3]
+    tokens = ["SSA", "GSA"] + [f"LGSA:{v}" for v in range(1, k + 2)]
+    one_pass = run_algorithms(RateEvaluator(h, gamma), h, r, gamma, tokens, tuple(range(k)), eps)
+    for token in tokens:
+        ev = RateEvaluator(h, gamma)
+        if token == "SSA":
+            separate = ssa(ev, r, gamma, eps=eps)
+        elif token == "GSA":
+            separate = gsa(ev, r, gamma, eps=eps)
+        else:
+            separate = lgsa(ev, r, gamma, int(token[5:]), eps=eps)
+        assert one_pass[token] == separate, token

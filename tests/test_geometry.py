@@ -194,7 +194,7 @@ def test_map_coverage_and_hit_rate():
 def test_map_rectangles_do_not_overlap_and_sides_in_range():
     cfg = ScenarioConfig()
     refl = build_reflector_map(cfg, seed=77)
-    sides = refl.rectangles[:, 2:]
+    sides = np.concatenate([refl.rects[:, 2] - refl.rects[:, 0], refl.rects[:, 3] - refl.rects[:, 1]])
     assert sides.min() >= cfg.rectangle_sides.min_m - 1e-9
     assert sides.max() <= cfg.rectangle_sides.max_m + 1e-9
     wavelength = 299_792_458.0 / cfg.carrier_hz
@@ -244,7 +244,8 @@ def _covers(refl, pt):
 def test_is_reflective_rectangle_center_and_outside():
     cfg = ScenarioConfig()
     refl = build_reflector_map(cfg, seed=21)
-    cx, cy = refl.rectangles[0, 0], refl.rectangles[0, 1]
+    x0, y0, x1, y1 = refl.rects[0]
+    cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
     inside = point_from_local(refl.center, refl.earth, cx, cy, 0.0)
     assert _covers(refl, inside)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from noma_outage import decoders
+from noma_outage import decoders, montecarlo
 from noma_outage.config import ConfigError, ScenarioConfig
 from noma_outage.montecarlo import (
     OutageEstimate,
@@ -183,3 +183,44 @@ def test_frozen_reflector_map_shared_across_trials():
     _, map_c = build_trial_geometry(cfg_free, 0)
     _, map_d = build_trial_geometry(cfg_free, 7)
     assert not np.array_equal(map_c.rects, map_d.rects)
+
+
+def test_sweep_runs_greedy_sic_once_per_point(monkeypatch):
+    calls = []
+    greedy_sic = decoders._greedy_sic
+
+    def counted_greedy_sic(*args, **kwargs):
+        calls.append(args)
+        return greedy_sic(*args, **kwargs)
+
+    monkeypatch.setattr(decoders, "_greedy_sic", counted_greedy_sic)
+    cfg = SMALL.replace(algorithms=("SSA", "LGSA:2", "LGSA:4", "GSA"), r_g_list=(1.0, 4.0, 7.0), trials=3)
+    run_sweep(cfg)
+    assert len(calls) == cfg.trials * len(cfg.r_g_list)
+
+
+def test_worker_pool_capped_at_trial_count(monkeypatch):
+    started = []
+
+    class SerialPool:
+        """Stands in for the process pool: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    cfg = SMALL.replace(trials=3, threads=16)
+    assert run_sweep(cfg) == run_sweep(cfg.replace(threads=1))
+    assert started == [3]
+    # one trial runs serially, with no pool at all
+    assert run_sweep(cfg.replace(trials=1)) == run_sweep(cfg.replace(trials=1, threads=1))
+    assert started == [3]
