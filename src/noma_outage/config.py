@@ -159,6 +159,8 @@ class ScenarioConfig:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        if not self.algorithms:
+            raise ConfigError("algorithms must name at least one algorithm")
         for token in self.algorithms:
             parse_algorithm(token)
 

@@ -11,15 +11,19 @@ capacity terms,
     R_S^T = C(S u T) - C(T),    C(A) = log2 det(I + g H_A^H H_A),
 
 which follows from det(I + X + Y) / det(I + Y) and the Sylvester identity.
-Each C(A) comes from a Cholesky factorization of the |A| x |A| Gram matrix
-(log-diagonals summed), which stays well-conditioned for g ~ 6e14 against
-|h|^2 ~ 1e-14, and makes the SIC chain rule telescope exactly.
+Each C(A) comes from a Cholesky factorization of the |A| x |A| principal
+submatrix of I + g H^H H (log-diagonals summed), which stays well-conditioned
+for g ~ 6e14 against |h|^2 ~ 1e-14, and makes the SIC chain rule telescope
+exactly.  This is the reference path.  The decoders' single-aircraft and pair
+checks read the same rates off one eliminated K x K array per loop (see
+``decoders``) and take any decision within ``decoders.TIE`` of its threshold
+again on ``RateEvaluator.group_rate``.
 
 The multiplication counter follows the reference cost convention: forming a
 Gram product of v columns costs M^2 v and an M x M inverse or product costs
 M^3, so one conditional rate evaluation costs M^2|S| when T is empty and
-M^2(|S| + |T|) + 2 M^3 otherwise.  Counts are a cost model of the defining
-formula, independent of the factorization shortcut above.
+M^2(|S| + |T|) + 2 M^3 otherwise (``eval_cost``).  Counts are a cost model
+of the defining formula, independent of how a rate is computed.
 """
 
 from __future__ import annotations
@@ -45,11 +49,16 @@ class MultCounter:
         self.total += n
 
 
+def eval_cost(m: int, s: int, t: int) -> int:
+    """Mults charged for one evaluation of R_S^T with |S| = s, |T| = t."""
+    return m * m * (s + t) + 2 * m**3 if t else m * m * s
+
+
 class RateEvaluator:
     """Caches capacity terms C(A) for one channel matrix.
 
-    Safe to share across decoding algorithms within a trial; pass each
-    algorithm its own counter.
+    Safe to share across decoding algorithms within a trial; counters are
+    passed per call, and each decoder run keeps its own.
     """
 
     def __init__(self, h, gamma: float):
@@ -58,8 +67,9 @@ class RateEvaluator:
             raise ValueError(f"channel matrix must be 2-D, got shape {h.shape}")
         self.m, self.k = h.shape
         self.gamma = float(gamma)
-        # Scaled Gram matrix g * H^H H; all capacities are subsets of it.
-        self._gram = self.gamma * (h.conj().T @ h)
+        #: I + g H^H H: every capacity is the log-det of a principal
+        #: submatrix, and the decoders' elimination loops start from it.
+        self.a = np.eye(self.k) + self.gamma * (h.conj().T @ h)
         self._cap: dict[tuple[int, ...], float] = {(): 0.0}
         self._inv: dict[tuple[int, ...], np.ndarray] = {}
         #: (V-BLAST order, mults that found it) on this channel, filled by
@@ -72,10 +82,8 @@ class RateEvaluator:
         hit = self._cap.get(key)
         if hit is not None:
             return hit
-        idx = list(key)
-        a = self._gram[np.ix_(idx, idx)].copy()
-        a[np.diag_indices_from(a)] += 1.0
-        chol = np.linalg.cholesky(a)
+        idx = np.asarray(key, dtype=np.intp)
+        chol = np.linalg.cholesky(self.a[idx[:, None], idx])
         val = 2.0 * LOG2E * float(np.sum(np.log(np.real(np.diagonal(chol)))))
         self._cap[key] = val
         return val
@@ -91,10 +99,8 @@ class RateEvaluator:
         key = tuple(sorted(ids))
         hit = self._inv.get(key)
         if hit is None:
-            idx = list(key)
-            a = self._gram[np.ix_(idx, idx)].copy()
-            a[np.diag_indices_from(a)] += 1.0
-            hit = np.linalg.inv(a)
+            idx = np.asarray(key, dtype=np.intp)
+            hit = np.linalg.inv(self.a[idx[:, None], idx])
             self._inv[key] = hit
         return hit
 
@@ -105,10 +111,7 @@ class RateEvaluator:
         if not s:
             return 0.0
         if counter is not None:
-            if t:
-                counter.add(self.m**2 * (len(s) + len(t)) + 2 * self.m**3)
-            else:
-                counter.add(self.m**2 * len(s))
+            counter.add(eval_cost(self.m, len(s), len(t)))
         if not t:
             return self.capacity(s)
         union = tuple(sorted(set(s) | set(t)))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -77,3 +78,82 @@ def config_dict(cfg):
     if isinstance(cfg, tuple):
         return [config_dict(v) for v in cfg]
     return cfg
+
+
+# ---------------------------------------------------------------------------
+# Reference decoder loops: one Cholesky ``group_rate`` per candidate, the
+# loops the elimination arrays in ``decoders`` must reproduce decision for
+# decision, mult counts included.
+# ---------------------------------------------------------------------------
+
+def ref_prune_aircraft(ev, r, l_set, s_hat, counter, eps):
+    while l_set:
+        before = len(s_hat)
+        for l in sorted(l_set):
+            if r[l] > ev.group_rate((l,), s_hat, counter) + eps:
+                l_set.discard(l)
+                s_hat.add(l)
+        if len(s_hat) == before:
+            break
+
+
+def ref_greedy_sic(ev, r, l_set, s_star, s_hat, plan, counter, eps):
+    while True:
+        moved = False
+        for l in sorted(l_set):
+            t_l = (l_set | s_hat) - {l}
+            if r[l] <= ev.group_rate((l,), t_l, counter) + eps:
+                l_set.discard(l)
+                s_star.add(l)
+                plan.append((l,))
+                moved = True
+                break
+        if not moved:
+            return
+
+
+def ref_prune_subsets(ev, r, l_set, s_hat, counter, eps):
+    while len(l_set) >= 2:
+        moved = False
+        for c in combinations(sorted(l_set), 2):
+            rate = ev.group_rate(c, s_hat, counter)
+            if r[c[0]] + r[c[1]] > rate + eps:
+                l_set.difference_update(c)
+                s_hat.update(c)
+                moved = True
+                break
+        if not moved:
+            break
+        ref_prune_aircraft(ev, r, l_set, s_hat, counter, eps)
+
+
+def ref_decode_with_order(ev, r, order, counter, eps):
+    decoded, s_hat = set(), set()
+    for u, i_u in enumerate(order):
+        f_u = s_hat | set(order[u + 1 :])
+        if r[i_u] <= ev.group_rate((i_u,), f_u, counter) + eps:
+            decoded.add(i_u)
+        else:
+            s_hat.add(i_u)
+    return frozenset(decoded)
+
+
+def ref_vblast_order(ev, counter):
+    remaining = set(range(ev.k))
+    order = []
+    while remaining:
+        best_k, best_rate = -1, -np.inf
+        for k in sorted(remaining):
+            rate = ev.group_rate((k,), remaining - {k}, counter)
+            if rate > best_rate:
+                best_k, best_rate = k, rate
+        order.append(best_k)
+        remaining.discard(best_k)
+    return tuple(order)
+
+
+def ref_isu_set(ev, r, counter, eps):
+    everyone = set(range(ev.k))
+    return frozenset(
+        k for k in everyone if r[k] <= ev.group_rate((k,), everyone - {k}, counter) + eps
+    )

@@ -126,6 +126,13 @@ def test_sweep_rejects_negative_seed(small_config, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_rejects_empty_algorithm_list(small_config, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(small_config), "--out", str(out), "--algorithms", ","]) == 1
+    assert "config error: algorithms must name at least one algorithm" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_runtime_failure_exit_code(small_config, tmp_path):
     missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert main(["sweep", "--config", str(small_config), "--out", str(missing_dir)]) == 2

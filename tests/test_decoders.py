@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from helpers import direct_group_rate, random_channel
 from noma_outage import decoders
 from noma_outage.decoders import (
@@ -530,3 +531,76 @@ def test_one_pass_matches_separate_runs(seed, eps, ties):
         else:
             separate = lgsa(ev, r, gamma, int(token[5:]), eps=eps)
         assert one_pass[token] == separate, token
+
+
+# ---------------------------------------------------------------------------
+# elimination loops against the per-candidate Cholesky loops
+# ---------------------------------------------------------------------------
+
+LOOPS = ("prune_aircraft", "greedy_sic", "prune_subsets", "isu_set", "vblast_order", "decode_with_order")
+
+
+def _run_loop(loop, fast, h, r, gamma, eps, outage0, order):
+    """One loop, elimination version (fast) or reference oracle, on a fresh
+    evaluator: everything it returns or mutates, and its mult count."""
+    ev = RateEvaluator(h, gamma)
+    counter = MultCounter()
+    k = h.shape[1]
+    l_set, s_star, s_hat, plan = set(range(k)) - outage0, set(), set(outage0), []
+    if loop == "prune_aircraft":
+        (_prune_aircraft if fast else helpers.ref_prune_aircraft)(ev, r, l_set, s_hat, counter, eps)
+    elif loop == "greedy_sic":
+        (_greedy_sic if fast else helpers.ref_greedy_sic)(ev, r, l_set, s_star, s_hat, plan, counter, eps)
+    elif loop == "prune_subsets":
+        (_prune_subsets if fast else helpers.ref_prune_subsets)(ev, r, l_set, s_hat, counter, eps)
+    elif loop == "isu_set":
+        s_star = isu_set(ev, r, gamma, counter, eps) if fast else helpers.ref_isu_set(ev, r, counter, eps)
+    elif loop == "vblast_order":
+        plan = vblast_order(ev, r, gamma, counter) if fast else helpers.ref_vblast_order(ev, counter)
+    else:
+        s_star = (decode_with_order(ev, r, order, gamma, counter, eps) if fast
+                  else helpers.ref_decode_with_order(ev, r, order, counter, eps))
+    return l_set, set(s_star), s_hat, list(plan), counter.total
+
+
+@pytest.mark.parametrize("loop", LOOPS)
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 8),
+    k=st.integers(2, 7),
+    eps=st.sampled_from([0.0, -0.1, 0.05]),
+    outage_mask=st.integers(0, 2**7 - 1),
+    twin=st.booleans(),
+    ties=st.lists(
+        st.tuples(st.integers(0, 6), st.sampled_from(["outage", "others", "pair"]), st.sampled_from([-1, 0, 1])),
+        max_size=4,
+    ),
+)
+def test_elimination_loop_matches_cholesky_loop(loop, seed, m, k, eps, outage_mask, twin, ties):
+    rng = np.random.default_rng(seed)
+    h = random_channel(rng, m, k)  # rank-deficient whenever m < k
+    if twin:  # two equal columns: exact ties between their rates
+        h[:, 1] = h[:, 0]
+    gamma = float(10.0 ** rng.uniform(0.0, 1.5))
+    single = np.log2(1.0 + gamma * np.sum(np.abs(h) ** 2, axis=0))
+    r = rng.uniform(0.02, 1.25, size=k) * single
+    # the three phase functions also start from a nonempty outage set
+    outage0 = {i for i in range(k) if outage_mask >> i & 1} if loop in LOOPS[:3] else set()
+    if len(outage0) == k:
+        outage0.discard(0)
+    ev = RateEvaluator(h, gamma)
+    # set rates exactly at, or one ulp either side of, a Cholesky threshold;
+    # a pair gets half the threshold each, so their sum is exact too, and is
+    # the first pair the pair prune scans
+    live = sorted(set(range(k)) - outage0)
+    for i, kind, ulp in ties:
+        if kind == "pair" and len(live) < 2:
+            continue
+        group = tuple(live[:2]) if kind == "pair" else (i % k,)
+        rest = set(range(k)) - set(group) if kind == "others" else outage0 - set(group)
+        target = (ev.group_rate(group, rest) + eps) / len(group)
+        r[list(group)] = target if ulp == 0 else np.nextafter(target, ulp * np.inf)
+    order = tuple(int(i) for i in rng.permutation(k))
+    fast = _run_loop(loop, True, h, r, gamma, eps, outage0, order)
+    assert fast == _run_loop(loop, False, h, r, gamma, eps, outage0, order)
