@@ -13,8 +13,7 @@ injection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from itertools import islice as itertools_islice
+from itertools import chain, combinations, islice, permutations
 from typing import Sequence
 
 import numpy as np
@@ -53,12 +52,14 @@ def _as_evaluator(h, gamma: float) -> RateEvaluator:
 # ---------------------------------------------------------------------------
 # Elimination arrays
 #
-# The single-aircraft and pair checks read their rates off one K x K array per
-# loop instead of a Cholesky per candidate.  With A = I + gG:
+# The decoders read their rates off one K x K array per loop instead of a
+# Cholesky per candidate.  With A = I + gG:
 #
 # - S, the Schur complement of A on the outage set, gives the rate of l against
 #   the outage set as log2 S[l, l] and of a pair as log2 det S[{a, b}];
-# - W = (A_U)^{-1} gives the rate of k against the rest of U as -log2 W[k, k].
+# - W = (A_U)^{-1} gives the rate of a group C against the rest of U as
+#   -log2 det W[C, C], and of one aircraft k as -log2 W[k, k].  Every loop on W
+#   starts from a copy of the full-set inverse, U = everyone.
 #
 # Moving l into the outage set and removing k from U are the same pivot step.
 # A decision within TIE of its threshold is taken again on the Cholesky rate,
@@ -86,15 +87,6 @@ def _schur(ev: RateEvaluator, s_hat) -> np.ndarray:
     for p in sorted(s_hat):
         _eliminate(a, p)
     return a
-
-
-def _whitened(ev: RateEvaluator, members) -> np.ndarray:
-    """(I + gG_U)^{-1} for U = members, zero outside U."""
-    u = sorted(members)
-    idx = np.asarray(u, dtype=np.intp)
-    w = np.zeros((ev.k, ev.k), dtype=complex)
-    w[idx[:, None], idx] = ev.whitened_inverse(u)
-    return w
 
 
 def _decide(need, fast, eps, reference) -> np.ndarray:
@@ -148,24 +140,6 @@ def _prune_aircraft(ev, r, l_set, s_hat, counter, eps) -> None:
             break
 
 
-def _greedy_sic(ev, r, l_set, s_star, s_hat, plan, counter, eps) -> None:
-    """Decode any aircraft feasible under all currently undecoded signals,
-    then rescan: each removal shrinks the remaining constraint sets."""
-    w = _whitened(ev, l_set | s_hat)
-    while l_set:
-        cand = np.asarray(sorted(l_set), dtype=np.intp)
-        fast = -np.log2(w[cand, cand].real)
-        j = _first(True, ev, counter, 1, len(l_set) + len(s_hat) - 1, r[cand], fast, eps,
-                   lambda i: ev.group_rate((int(cand[i]),), (l_set | s_hat) - {int(cand[i])}))
-        if j is None:
-            return
-        l = int(cand[j])
-        l_set.discard(l)
-        s_star.add(l)
-        plan.append((l,))
-        _eliminate(w, l)
-
-
 def _prune_subsets(ev, r, l_set, s_hat, counter, eps) -> None:
     """Discard pairs whose sum rate exceeds their joint capacity under the
     outage set: both members are then provably in outage.  After each removal
@@ -193,8 +167,6 @@ def _batched_submatrix_log2det(w: np.ndarray, pos: np.ndarray) -> np.ndarray:
     definite (a whitened inverse, or a Schur complement S for the pair prune),
     so the determinants are real positive."""
     v = pos.shape[1]
-    if v == 1:
-        return np.log2(w[pos[:, 0], pos[:, 0]].real)
     if v == 2:
         a = w[pos[:, 0], pos[:, 0]].real
         d = w[pos[:, 1], pos[:, 1]].real
@@ -209,56 +181,48 @@ def _batched_submatrix_log2det(w: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return logabs * LOG2E
 
 
-def _scan_groups_of_size(ev, r, l_set, s_hat, v, counter, eps):
+def _scan_groups_of_size(ev, w, r, l_set, s_hat, v, counter, eps):
     """First group of size v in the candidate scan whose every subset
-    sum-rate fits under the residual interference, or None.
-
-    The binding full-group condition is evaluated for whole combination
-    batches through the cached whitened inverse (Schur identity); survivors
-    get the remaining subset checks one by one, preserving the scan order
-    and the per-candidate evaluation accounting.
-    """
-    members = sorted(l_set)
-    u_ids = tuple(sorted(l_set | s_hat))
-    w = ev.whitened_inverse(u_ids)
-    lut = np.full(max(u_ids) + 1, -1, dtype=np.int64)
-    lut[list(u_ids)] = np.arange(len(u_ids))
-    # one conditional-rate evaluation per scanned candidate
-    cost_full = ev.m**2 * len(u_ids) + (2 * ev.m**3 if len(u_ids) > v else 0)
-    rates = np.asarray(r, dtype=float)
-
-    combo_iter = combinations(members, v)
-    while True:
-        chunk = list(itertools_islice(combo_iter, _SCAN_CHUNK))
-        if not chunk:
-            return None
-        combos = np.asarray(chunk, dtype=np.int64)
-        pos = lut[combos]
-        full_rate = -_batched_submatrix_log2det(w, pos)
-        sums = rates[combos].sum(axis=1)
+    sum-rate fits under the residual interference, or None.  The full-group
+    condition is decided for whole combination batches on W, the inverse of
+    I + gG on U = L u S_hat (rate of C against U \\ C: -log2 det W[C, C]);
+    survivors get the remaining subset checks one by one, in scan order."""
+    u = l_set | s_hat
+    t = len(u) - v
+    if v == 1:  # a singleton has no subset left to check: the first hit is the group
+        cand = np.asarray(sorted(l_set), dtype=np.intp)
+        j = _first(True, ev, counter, 1, t, r[cand], -np.log2(w[cand, cand].real), eps,
+                   lambda i: ev.group_rate((int(cand[i]),), u - {int(cand[i])}))
+        return None if j is None else (int(cand[j]),)
+    flat = chain.from_iterable(combinations(sorted(l_set), v))
+    while (combos := np.fromiter(islice(flat, _SCAN_CHUNK * v), np.intp).reshape(-1, v)).size:
+        ok = _decide(r[combos].sum(axis=1), -_batched_submatrix_log2det(w, combos), eps,
+                     lambda j: ev.group_rate(combos[j].tolist(), u.difference(combos[j].tolist())))
         scanned = 0
-        for j in np.flatnonzero(sums <= full_rate + eps):
-            cand = chunk[j]
-            if counter is not None:
-                counter.add(cost_full * (int(j) + 1 - scanned))
-            scanned = int(j) + 1
-            t_c = (l_set | s_hat) - set(cand)
-            if subset_conditions_hold(ev, r, cand, t_c, counter, eps, skip_full=True):
+        for j in ok.nonzero()[0].tolist():
+            _charge(ev, counter, j + 1 - scanned, v, t)
+            scanned = j + 1
+            cand = tuple(combos[j].tolist())
+            if subset_conditions_hold(ev, r, cand, u.difference(cand), counter, eps, skip_full=True):
                 return cand
-        if counter is not None:
-            counter.add(cost_full * (len(chunk) - scanned))
+        _charge(ev, counter, len(combos) - scanned, v, t)
+    return None
 
 
-def _greedy_group(ev, r, l_set, s_star, s_hat, plan, v_max, counter, eps, v=2) -> int:
-    """Search decodable groups of growing size from v; after any success drop
+def _greedy_group(ev, w, r, l_set, s_star, s_hat, plan, v_max, counter, eps, v) -> int:
+    """Search decodable groups of growing size from v on W, the inverse of
+    I + gG on L u S_hat; after any success pivot the group out of W and drop
     back to singletons, since the shrunken constraint sets may unlock SIC
-    moves.  Returns the size it stopped at, where a larger v_max resumes."""
+    moves.  Greedy SIC is the run from v = 1 with v_max = 1.  Returns the
+    size it stopped at, where a larger v_max resumes."""
     while v <= min(len(l_set), v_max):
-        hit = _scan_groups_of_size(ev, r, l_set, s_hat, v, counter, eps)
+        hit = _scan_groups_of_size(ev, w, r, l_set, s_hat, v, counter, eps)
         if hit is not None:
             l_set.difference_update(hit)
             s_star.update(hit)
             plan.append(hit)
+            for p in hit:
+                _eliminate(w, p)
             v = 1
         else:
             v += 1
@@ -276,15 +240,16 @@ def successive(ev: RateEvaluator, r, limits: Sequence[int], eps=0.0) -> list[Dec
     rr = np.asarray(r, dtype=float)
     counter = MultCounter()
     l_set, s_star, s_hat, plan = set(range(ev.k)), set(), set(), []
+    w = ev.whitened_inverse(range(ev.k)).copy()  # U = L u S_hat is everyone until the first decode
     _prune_aircraft(ev, rr, l_set, s_hat, counter, eps)
-    _greedy_sic(ev, rr, l_set, s_star, s_hat, plan, counter, eps)
+    _greedy_group(ev, w, rr, l_set, s_star, s_hat, plan, 1, counter, eps, 1)  # greedy SIC
     by_limit, v = {}, 0
     for limit in sorted(set(limits)):
         if limit >= 1:
             if not v:  # the pair prune runs once, before the first group search
                 _prune_subsets(ev, rr, l_set, s_hat, counter, eps)
                 v = 2
-            v = _greedy_group(ev, rr, l_set, s_star, s_hat, plan, limit, counter, eps, v)
+            v = _greedy_group(ev, w, rr, l_set, s_star, s_hat, plan, limit, counter, eps, v)
         by_limit[limit] = DecodeOutcome(frozenset(s_star), frozenset(s_hat | l_set), tuple(plan), counter.total)
     return [by_limit[limit] for limit in limits]
 
@@ -322,7 +287,7 @@ def decode_with_order(h, r, order: Sequence[int], gamma, counter=None, eps=0.0) 
     if sorted(order) != list(range(ev.k)):
         raise ValueError("order must be a permutation of all aircraft")
     # everyone not yet decoded interferes; a decoded aircraft leaves W
-    w = _whitened(ev, range(ev.k))
+    w = ev.whitened_inverse(range(ev.k)).copy()
     live = set(range(ev.k))
     rest = np.asarray(order, dtype=np.intp)
     while rest.size:
@@ -337,12 +302,12 @@ def decode_with_order(h, r, order: Sequence[int], gamma, counter=None, eps=0.0) 
     return frozenset(range(ev.k)) - live
 
 
-def vblast_order(h, r, gamma, counter=None) -> tuple[int, ...]:
+def vblast_order(h, gamma, counter=None) -> tuple[int, ...]:
     """Highest post-detection SINR first: each step picks the aircraft with
     the largest achievable rate under the not-yet-selected interferers.
-    Ties break to the lowest index."""
+    Ties break to the lowest index.  The order depends only on the channel."""
     ev = _as_evaluator(h, gamma)
-    w = _whitened(ev, range(ev.k))
+    w = ev.whitened_inverse(range(ev.k)).copy()
     remaining = list(range(ev.k))
     order: list[int] = []
     while remaining:
@@ -374,7 +339,7 @@ def isu_set(h, r, gamma, counter=None, eps=0.0) -> frozenset:
     ev = _as_evaluator(h, gamma)
     rr = np.asarray(r, dtype=float)
     everyone = set(range(ev.k))
-    w = _whitened(ev, everyone)
+    w = ev.whitened_inverse(everyone)
     ok = _decide(rr, -np.log2(np.diagonal(w).real), eps,
                  lambda i: ev.group_rate((int(i),), everyone - {int(i)}))
     _charge(ev, counter, ev.k, 1, ev.k - 1)

@@ -126,7 +126,7 @@ def _one_at_a_time(name, ev, h, rates, gamma, random_order, eps) -> DecodeOutcom
             # once per evaluator; its evaluations are counted at every point
             if ev.vblast is None:
                 found = MultCounter()
-                ev.vblast = (decoders.vblast_order(ev, rates, gamma, counter=found), found.total)
+                ev.vblast = (decoders.vblast_order(ev, gamma, counter=found), found.total)
             order, mults = ev.vblast
             counter.add(mults)
         decoded = decoders.decode_with_order(ev, rates, order, gamma, counter=counter, eps=eps)

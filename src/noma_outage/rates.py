@@ -14,10 +14,12 @@ which follows from det(I + X + Y) / det(I + Y) and the Sylvester identity.
 Each C(A) comes from a Cholesky factorization of the |A| x |A| principal
 submatrix of I + g H^H H (log-diagonals summed), which stays well-conditioned
 for g ~ 6e14 against |h|^2 ~ 1e-14, and makes the SIC chain rule telescope
-exactly.  This is the reference path.  The decoders' single-aircraft and pair
-checks read the same rates off one eliminated K x K array per loop (see
-``decoders``) and take any decision within ``decoders.TIE`` of its threshold
-again on ``RateEvaluator.group_rate``.
+exactly.  This is the reference path.  The decoders read the same rates off
+one eliminated K x K array per loop (see ``decoders``): the Schur complement
+of I + g H^H H on the outage set for the prunes, and for every other loop a
+copy of the full-set inverse ``RateEvaluator.whitened_inverse(range(K))``,
+from which each decoded aircraft is pivoted out.  Any decision within
+``decoders.TIE`` of its threshold is taken again on ``group_rate``.
 
 The multiplication counter follows the reference cost convention: forming a
 Gram product of v columns costs M^2 v and an M x M inverse or product costs
@@ -93,8 +95,10 @@ class RateEvaluator:
 
         By the Schur-complement determinant identity, for any C inside A the
         conditional group rate of C against interference A \\ C is
-        -log2 det(W[C, C]) with W this inverse; group-candidate scans use it
-        to evaluate whole combination batches at once.
+        -log2 det(W[C, C]) with W this inverse.  The decoders take A = all K
+        aircraft and pivot each decoded aircraft out of a copy: pivoting D out
+        of W leaves the inverse on A \\ D, so one inverse per evaluator serves
+        every SIC step and group scan.
         """
         key = tuple(sorted(ids))
         hit = self._inv.get(key)

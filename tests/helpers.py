@@ -6,6 +6,8 @@ from itertools import combinations
 
 import numpy as np
 
+from noma_outage.rates import subset_conditions_hold
+
 
 def direct_group_rate(h, s, t, gamma):
     """Conditional group rate straight from the defining formula, with an
@@ -110,6 +112,20 @@ def ref_greedy_sic(ev, r, l_set, s_star, s_hat, plan, counter, eps):
                 break
         if not moved:
             return
+
+
+def ref_greedy_group(ev, r, l_set, s_star, s_hat, plan, v_max, counter, eps, v):
+    while v <= min(len(l_set), v_max):
+        for c in combinations(sorted(l_set), v):
+            if subset_conditions_hold(ev, r, c, (l_set | s_hat) - set(c), counter, eps):
+                l_set.difference_update(c)
+                s_star.update(c)
+                plan.append(c)
+                v = 1
+                break
+        else:
+            v += 1
+    return v
 
 
 def ref_prune_subsets(ev, r, l_set, s_hat, counter, eps):

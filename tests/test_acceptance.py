@@ -43,7 +43,7 @@ def _full_scale_worker(args):
     ev = RateEvaluator(chan.h, gamma)
     r = np.full(k, r_g)
     res_ssa = decoders.ssa(ev, r, gamma)
-    order = decoders.vblast_order(ev, r, gamma)
+    order = decoders.vblast_order(ev, gamma)
     vblast = decoders.decode_with_order(ev, r, order, gamma)
     res_l2 = decoders.lgsa(ev, r, gamma, 2)
     res_l4 = decoders.lgsa(ev, r, gamma, 4)

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -10,7 +10,6 @@ from helpers import direct_group_rate, random_channel
 from noma_outage import decoders
 from noma_outage.decoders import (
     _greedy_group,
-    _greedy_sic,
     _prune_aircraft,
     _prune_subsets,
     cgtr_order,
@@ -92,6 +91,13 @@ def test_prune_cascade_reaches_fixpoint():
 # ---------------------------------------------------------------------------
 # greedy SIC
 # ---------------------------------------------------------------------------
+
+def _greedy_sic(ev, r, l_set, s_star, s_hat, plan, counter, eps):
+    """Greedy SIC as ``successive`` runs it before any decode: the size-one
+    group scan on the full-set inverse."""
+    w = ev.whitened_inverse(range(ev.k)).copy()
+    _greedy_group(ev, w, r, l_set, s_star, s_hat, plan, 1, counter, eps, 1)
+
 
 def test_greedy_single_feasible_aircraft():
     h = np.array([[1.0]], dtype=complex)
@@ -212,7 +218,9 @@ def test_greedy_group_empty_undetermined_is_noop():
     h = random_channel(np.random.default_rng(5), 2, 3)
     l_set, s_star, s_hat, plan = set(), {0, 1}, {2}, []
     counter = MultCounter()
-    _greedy_group(RateEvaluator(h, 1.0), np.ones(3), l_set, s_star, s_hat, plan, 3, counter, 0.0)
+    ev = RateEvaluator(h, 1.0)
+    w = ev.whitened_inverse(range(3)).copy()
+    _greedy_group(ev, w, np.ones(3), l_set, s_star, s_hat, plan, 3, counter, 0.0, 1)
     assert (l_set, s_star, s_hat, plan) == (set(), {0, 1}, {2}, [])
     assert counter.total == 0
 
@@ -334,7 +342,7 @@ def test_decode_with_order_validates_permutation():
 def test_vblast_identical_columns_ties_break_by_index():
     h, gamma = _identical_columns()
     h3 = np.concatenate([h, h[:, :1]], axis=1)
-    assert vblast_order(h3, np.ones(3), gamma) == (0, 1, 2)
+    assert vblast_order(h3, gamma) == (0, 1, 2)
 
 
 def test_vblast_equal_rate_matches_ssa_size():
@@ -348,7 +356,7 @@ def test_vblast_equal_rate_matches_ssa_size():
             * np.median(np.log2(1.0 + gamma * np.sum(np.abs(h) ** 2, axis=0)))
         )
         r = np.full(k, r_g)
-        order = vblast_order(h, r, gamma)
+        order = vblast_order(h, gamma)
         decoded = decode_with_order(h, r, order, gamma)
         assert len(decoded) == len(ssa(h, r, gamma).decoded)
 
@@ -366,7 +374,7 @@ def test_vblast_suboptimal_for_variable_rates():
     r = np.array([0.5 * (r_o_interf + a_o), 0.9 * r_p_interf])
     assert r_o_interf < r[0] <= a_o
 
-    order = vblast_order(h, r, gamma)
+    order = vblast_order(h, gamma)
     assert order == (0, 1)
     decoded = decode_with_order(h, r, order, gamma)
     res = ssa(h, r, gamma)
@@ -492,11 +500,12 @@ def test_mult_counters_accumulate_per_algorithm():
     counter = MultCounter()
     l_set, s_star, s_hat = set(range(4)), set(), set()
     _prune_aircraft(ev, r, l_set, s_hat, counter, 0.0)
-    _greedy_sic(ev, r, l_set, s_star, s_hat, [], counter, 0.0)
+    w = ev.whitened_inverse(range(4)).copy()
+    _greedy_group(ev, w, r, l_set, s_star, s_hat, [], 1, counter, 0.0, 1)
     assert ssa(h, r, 5.0).mult_count == counter.total > 0
     # each outcome carries its own count; a group decoder adds to SSA's phases
     _prune_subsets(ev, r, l_set, s_hat, counter, 0.0)
-    _greedy_group(ev, r, l_set, s_star, s_hat, [], 4, counter, 0.0)
+    _greedy_group(ev, w, r, l_set, s_star, s_hat, [], 4, counter, 0.0, 2)
     assert ssa(h, r, 5.0).mult_count < gsa(h, r, 5.0).mult_count == counter.total
 
 
@@ -537,7 +546,8 @@ def test_one_pass_matches_separate_runs(seed, eps, ties):
 # elimination loops against the per-candidate Cholesky loops
 # ---------------------------------------------------------------------------
 
-LOOPS = ("prune_aircraft", "greedy_sic", "prune_subsets", "isu_set", "vblast_order", "decode_with_order")
+PHASES = ("prune_aircraft", "greedy_sic", "prune_subsets", "greedy_group")
+LOOPS = PHASES + ("isu_set", "vblast_order", "decode_with_order")
 
 
 def _run_loop(loop, fast, h, r, gamma, eps, outage0, order):
@@ -551,12 +561,18 @@ def _run_loop(loop, fast, h, r, gamma, eps, outage0, order):
         (_prune_aircraft if fast else helpers.ref_prune_aircraft)(ev, r, l_set, s_hat, counter, eps)
     elif loop == "greedy_sic":
         (_greedy_sic if fast else helpers.ref_greedy_sic)(ev, r, l_set, s_star, s_hat, plan, counter, eps)
+    elif loop == "greedy_group":  # from size 2, as after the pair prune, with no size limit
+        if fast:
+            w = ev.whitened_inverse(range(k)).copy()
+            _greedy_group(ev, w, r, l_set, s_star, s_hat, plan, k, counter, eps, 2)
+        else:
+            helpers.ref_greedy_group(ev, r, l_set, s_star, s_hat, plan, k, counter, eps, 2)
     elif loop == "prune_subsets":
         (_prune_subsets if fast else helpers.ref_prune_subsets)(ev, r, l_set, s_hat, counter, eps)
     elif loop == "isu_set":
         s_star = isu_set(ev, r, gamma, counter, eps) if fast else helpers.ref_isu_set(ev, r, counter, eps)
     elif loop == "vblast_order":
-        plan = vblast_order(ev, r, gamma, counter) if fast else helpers.ref_vblast_order(ev, counter)
+        plan = vblast_order(ev, gamma, counter) if fast else helpers.ref_vblast_order(ev, counter)
     else:
         s_star = (decode_with_order(ev, r, order, gamma, counter, eps) if fast
                   else helpers.ref_decode_with_order(ev, r, order, counter, eps))
@@ -573,10 +589,12 @@ def _run_loop(loop, fast, h, r, gamma, eps, outage0, order):
     outage_mask=st.integers(0, 2**7 - 1),
     twin=st.booleans(),
     ties=st.lists(
-        st.tuples(st.integers(0, 6), st.sampled_from(["outage", "others", "pair"]), st.sampled_from([-1, 0, 1])),
+        st.tuples(st.integers(0, 6), st.sampled_from(["outage", "others", "pair", "group"]), st.sampled_from([-1, 0, 1])),
         max_size=4,
     ),
 )
+# a three-aircraft group one ulp under its full rate, reached with U = everyone
+@example(seed=0, m=1, k=4, eps=0.0, outage_mask=0, twin=False, ties=[(0, "group", -1)])
 def test_elimination_loop_matches_cholesky_loop(loop, seed, m, k, eps, outage_mask, twin, ties):
     rng = np.random.default_rng(seed)
     h = random_channel(rng, m, k)  # rank-deficient whenever m < k
@@ -585,22 +603,26 @@ def test_elimination_loop_matches_cholesky_loop(loop, seed, m, k, eps, outage_ma
     gamma = float(10.0 ** rng.uniform(0.0, 1.5))
     single = np.log2(1.0 + gamma * np.sum(np.abs(h) ** 2, axis=0))
     r = rng.uniform(0.02, 1.25, size=k) * single
-    # the three phase functions also start from a nonempty outage set
-    outage0 = {i for i in range(k) if outage_mask >> i & 1} if loop in LOOPS[:3] else set()
+    # the phase functions also start from a nonempty outage set
+    outage0 = {i for i in range(k) if outage_mask >> i & 1} if loop in PHASES else set()
     if len(outage0) == k:
         outage0.discard(0)
     ev = RateEvaluator(h, gamma)
     # set rates exactly at, or one ulp either side of, a Cholesky threshold;
-    # a pair gets half the threshold each, so their sum is exact too, and is
-    # the first pair the pair prune scans
+    # a pair gets half the threshold each and a group of three a quarter,
+    # a quarter and a half, so their sum is exact too; the pair is the first
+    # the pair prune scans, the group the first three-aircraft candidate of
+    # the group scan, at its full rate against everyone else
     live = sorted(set(range(k)) - outage0)
     for i, kind, ulp in ties:
-        if kind == "pair" and len(live) < 2:
+        size = {"pair": 2, "group": 3}.get(kind, 1)
+        if len(live) < size:
             continue
-        group = tuple(live[:2]) if kind == "pair" else (i % k,)
-        rest = set(range(k)) - set(group) if kind == "others" else outage0 - set(group)
-        target = (ev.group_rate(group, rest) + eps) / len(group)
-        r[list(group)] = target if ulp == 0 else np.nextafter(target, ulp * np.inf)
+        group = tuple(live[:size]) if size > 1 else (i % k,)
+        rest = set(range(k)) - set(group) if kind in ("others", "group") else outage0 - set(group)
+        target = ev.group_rate(group, rest) + eps
+        target = target if ulp == 0 else np.nextafter(target, ulp * np.inf)
+        r[list(group)] = target * np.array({1: [1.0], 2: [0.5, 0.5], 3: [0.25, 0.25, 0.5]}[size])
     order = tuple(int(i) for i in rng.permutation(k))
     fast = _run_loop(loop, True, h, r, gamma, eps, outage0, order)
     assert fast == _run_loop(loop, False, h, r, gamma, eps, outage0, order)

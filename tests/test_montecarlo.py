@@ -187,16 +187,18 @@ def test_frozen_reflector_map_shared_across_trials():
 
 def test_sweep_runs_greedy_sic_once_per_point(monkeypatch):
     calls = []
-    greedy_sic = decoders._greedy_sic
+    greedy_group = decoders._greedy_group
 
-    def counted_greedy_sic(*args, **kwargs):
+    def counted_greedy_group(*args, **kwargs):
         calls.append(args)
-        return greedy_sic(*args, **kwargs)
+        return greedy_group(*args, **kwargs)
 
-    monkeypatch.setattr(decoders, "_greedy_sic", counted_greedy_sic)
+    monkeypatch.setattr(decoders, "_greedy_group", counted_greedy_group)
     cfg = SMALL.replace(algorithms=("SSA", "LGSA:2", "LGSA:4", "GSA"), r_g_list=(1.0, 4.0, 7.0), trials=3)
     run_sweep(cfg)
-    assert len(calls) == cfg.trials * len(cfg.r_g_list)
+    # greedy SIC is the size-one group scan: v_max = 1, from v = 1
+    sic_passes = [args for args in calls if (args[7], args[10]) == (1, 1)]
+    assert len(sic_passes) == cfg.trials * len(cfg.r_g_list)
 
 
 def test_worker_pool_capped_at_trial_count(monkeypatch):
