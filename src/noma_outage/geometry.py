@@ -29,6 +29,9 @@ _BISECT_ITERS = 60
 _MAX_FILL = 0.98
 _MAP_LAYOUTS = 8
 
+#: Reflector-map rows laid out together; bounds the layout's working set.
+_ROW_BATCH = 16
+
 
 class CellCapacityError(RuntimeError):
     """Rejection sampling could not satisfy the minimum-separation constraint."""
@@ -284,6 +287,13 @@ class ReflectorMap:
         return out
 
 
+@lru_cache(maxsize=1)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 64-node Gauss-Legendre rule, computed on
+    first use."""
+    return np.polynomial.legendre.leggauss(64)
+
+
 def _rect_disc_areas(rects: np.ndarray, radius: float) -> np.ndarray:
     """Exact area of each rectangle clipped to the disc of given radius.
 
@@ -298,7 +308,7 @@ def _rect_disc_areas(rects: np.ndarray, radius: float) -> np.ndarray:
     areas = (x1 - x0) * (y1 - y0)
     boundary = corner > radius
     if boundary.any():
-        nodes, weights = np.polynomial.legendre.leggauss(64)
+        nodes, weights = _gauss_legendre()
         bx0 = np.clip(x0[boundary], -radius, radius)
         bx1 = np.clip(x1[boundary], -radius, radius)
         half = (bx1 - bx0) / 2.0
@@ -310,35 +320,84 @@ def _rect_disc_areas(rects: np.ndarray, radius: float) -> np.ndarray:
     return areas
 
 
+def _disc_rects(
+    bottom: np.ndarray, top: np.ndarray, starts: np.ndarray, widths: np.ndarray, radius: float
+) -> np.ndarray:
+    """Rectangles of rows ``bottom[i] .. top[i]`` with x ranges ``starts[i]
+    .. starts[i] + widths[i]`` whose box meets the disc, row after row in
+    increasing x."""
+    ends = starts + widths
+    # the point of each box nearest the center
+    cx = np.minimum(np.maximum(0.0, starts), ends)
+    cy = np.minimum(np.maximum(0.0, bottom), top)
+    rect = np.empty(starts.shape + (4,))
+    rect[..., 0] = starts
+    rect[..., 1] = bottom[:, None]
+    rect[..., 2] = ends
+    rect[..., 3] = top[:, None]
+    keep = cx**2 + (cy**2)[:, None] <= radius**2
+    return rect.reshape(-1, 4).compress(keep.ravel(), axis=0)
+
+
 def _lay_rows(rng: np.random.Generator, radius: float, smin: float, smax: float, fill: float) -> np.ndarray:
     """Rectangles in horizontal rows covering the disc's bounding square,
     each row filled to about ``fill``; only those whose box meets the disc
-    are kept."""
+    are kept.
+
+    Each row takes from the stream its height, n widths, n gaps and its
+    offset, each ``lo + (hi - lo) * u`` of one uniform draw u, as
+    ``Generator.uniform`` computes it; a row that falls short of the
+    square's right edge then takes n more widths and n more gaps at a time
+    until it reaches it.  No height exceeds ``smax``, so the next
+    floor(remaining / smax) rows are sure to be laid: up to ``_ROW_BATCH``
+    of them are drawn as one block and laid out together.  When a row of the
+    block falls short, the draws of the rows after it go back in front of
+    the stream, and that row is extended on its own.
+    """
     mean_w = 0.5 * (smin + smax)
     mean_gap = mean_w * (1.0 - fill) / fill
+    gap_hi = 2.0 * mean_gap
     xlo, xhi = -radius - smax, radius + smax
     span = xhi - xlo
+    n = int(span / (mean_w + mean_gap) * 1.6) + 16
+    pending = np.zeros(0)  # drawn from rng, not yet used
+
+    def draws(k: int) -> np.ndarray:
+        nonlocal pending
+        if len(pending) < k:
+            pending = np.concatenate([pending, rng.random(k - len(pending))])
+        out, pending = pending[:k], pending[k:]
+        return out
 
     rows: list[np.ndarray] = []
     y = xlo
-    while y < radius + smax:
-        h = rng.uniform(smin, smax)
-        n = int(span / (mean_w + mean_gap) * 1.6) + 16
-        widths = rng.uniform(smin, smax, size=n)
-        gaps = rng.uniform(0.0, 2.0 * mean_gap, size=n)
-        starts = xlo - rng.uniform(0.0, smax + 2.0 * mean_gap) + np.r_[0.0, np.cumsum(widths + gaps)[:-1]]
-        while starts[-1] + widths[-1] < xhi:  # rare: row not yet spanned
-            more_w = rng.uniform(smin, smax, size=n)
-            more_g = rng.uniform(0.0, 2.0 * mean_gap, size=n)
-            more_s = starts[-1] + widths[-1] + gaps[-1] + np.r_[0.0, np.cumsum(more_w + more_g)[:-1]]
-            starts = np.r_[starts, more_s]
-            widths = np.r_[widths, more_w]
-            gaps = np.r_[gaps, more_g]
-        rect = np.column_stack([starts, np.full_like(starts, y), starts + widths, np.full_like(starts, y + h)])
-        cx = np.clip(0.0, rect[:, 0], rect[:, 2])
-        cy = np.clip(0.0, rect[:, 1], rect[:, 3])
-        rows.append(rect[cx**2 + cy**2 <= radius**2])
-        y += h
+    while y < xhi:
+        b = max(1, min(_ROW_BATCH, int((xhi - y) / smax)))
+        u = draws(b * (2 * n + 2)).reshape(b, 2 * n + 2)
+        ys = np.cumsum(np.concatenate(([y], smin + (smax - smin) * u[:, 0])))
+        widths = smin + (smax - smin) * u[:, 1 : n + 1]
+        gaps = gap_hi * u[:, n + 1 : 2 * n + 1]
+        starts = np.empty((b, n))
+        starts[:, 0] = 0.0
+        np.cumsum((widths + gaps)[:, :-1], axis=1, out=starts[:, 1:])
+        starts += (xlo - (smax + gap_hi) * u[:, -1])[:, None]
+        short = np.flatnonzero(starts[:, -1] + widths[:, -1] < xhi)
+        if len(short):  # rare: a row not yet spanned
+            b = short[0]
+            pending = np.concatenate([u[b + 1 :].ravel(), pending])
+            s, w, g = starts[b], widths[b], gaps[b]
+            while s[-1] + w[-1] < xhi:
+                more = draws(2 * n)
+                more_w = smin + (smax - smin) * more[:n]
+                more_g = gap_hi * more[n:]
+                more_s = s[-1] + w[-1] + g[-1] + np.r_[0.0, np.cumsum(more_w + more_g)[:-1]]
+                s, w, g = np.r_[s, more_s], np.r_[w, more_w], np.r_[g, more_g]
+            rows.append(_disc_rects(ys[:b], ys[1 : b + 1], starts[:b], widths[:b], radius))
+            rows.append(_disc_rects(ys[b : b + 1], ys[b + 1 : b + 2], s[None, :], w[None, :], radius))
+            y = ys[b + 1]
+        else:
+            rows.append(_disc_rects(ys[:-1], ys[1:], starts, widths, radius))
+            y = ys[-1]
     return np.vstack(rows) if rows else np.zeros((0, 4))
 
 
@@ -378,18 +437,20 @@ def build_reflector_map(cfg: ScenarioConfig, seed: int) -> ReflectorMap:
             f"after {_MAP_LAYOUTS} layouts"
         )
 
+    # Remove rectangles in a random order while the area left exceeds the
+    # target.  The running totals, subtracted in that order, never increase,
+    # so the removed ones are those whose running total before removal is
+    # still above the target.
     order = rng.permutation(len(rects))
+    left = np.subtract.accumulate(np.concatenate(([total], areas[order])))
+    n_cut = np.count_nonzero(left[:-1] > target_area)
     keep = np.ones(len(rects), dtype=bool)
-    for idx in order:
-        if total <= target_area:
-            break
-        keep[idx] = False
-        total -= areas[idx]
+    keep[order[:n_cut]] = False
     return ReflectorMap(
-        rects=rects[keep],
+        rects=rects.compress(keep, axis=0),
         coverage_fraction=target,
         seed=int(seed),
         center=GeoPoint(0.0, 0.0, 0.0),
         earth=EarthModel(cfg.earth_radius_m),
-        area_in_disc_m2=total,
+        area_in_disc_m2=float(left[n_cut]),
     )

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import numpy as np
 
+from noma_outage.geometry import _MAP_LAYOUTS, _MAX_FILL, _rect_disc_areas
 from noma_outage.rates import subset_conditions_hold
 
 
@@ -173,3 +174,65 @@ def ref_isu_set(ev, r, counter, eps):
     return frozenset(
         k for k in everyone if r[k] <= ev.group_rate((k,), everyone - {k}, counter) + eps
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference reflector-map build: one pass per row and one Python step per
+# removed rectangle, the loops the batched ``geometry`` code must reproduce
+# bit for bit, stream consumption included.
+# ---------------------------------------------------------------------------
+
+def ref_lay_rows(rng, radius, smin, smax, fill):
+    mean_w = 0.5 * (smin + smax)
+    mean_gap = mean_w * (1.0 - fill) / fill
+    xlo, xhi = -radius - smax, radius + smax
+    span = xhi - xlo
+
+    rows = []
+    y = xlo
+    while y < radius + smax:
+        h = rng.uniform(smin, smax)
+        n = int(span / (mean_w + mean_gap) * 1.6) + 16
+        widths = rng.uniform(smin, smax, size=n)
+        gaps = rng.uniform(0.0, 2.0 * mean_gap, size=n)
+        starts = xlo - rng.uniform(0.0, smax + 2.0 * mean_gap) + np.r_[0.0, np.cumsum(widths + gaps)[:-1]]
+        while starts[-1] + widths[-1] < xhi:  # rare: row not yet spanned
+            more_w = rng.uniform(smin, smax, size=n)
+            more_g = rng.uniform(0.0, 2.0 * mean_gap, size=n)
+            more_s = starts[-1] + widths[-1] + gaps[-1] + np.r_[0.0, np.cumsum(more_w + more_g)[:-1]]
+            starts = np.r_[starts, more_s]
+            widths = np.r_[widths, more_w]
+            gaps = np.r_[gaps, more_g]
+        rect = np.column_stack([starts, np.full_like(starts, y), starts + widths, np.full_like(starts, y + h)])
+        cx = np.clip(0.0, rect[:, 0], rect[:, 2])
+        cy = np.clip(0.0, rect[:, 1], rect[:, 3])
+        rows.append(rect[cx**2 + cy**2 <= radius**2])
+        y += h
+    return np.vstack(rows) if rows else np.zeros((0, 4))
+
+
+def ref_build_reflector_map(cfg, seed):
+    """(rects, area_in_disc_m2) of ``geometry.build_reflector_map``."""
+    rng = np.random.default_rng(seed)
+    radius = cfg.cell_radius_m
+    smin, smax = cfg.rectangle_sides.min_m, cfg.rectangle_sides.max_m
+    target_area = cfg.coverage_fraction * (math.pi * radius**2)
+    fill = min(cfg.coverage_fraction * 1.08 + 0.01, _MAX_FILL)
+    for _ in range(_MAP_LAYOUTS):
+        rects = ref_lay_rows(rng, radius, smin, smax, fill)
+        areas = _rect_disc_areas(rects, radius)
+        total = float(areas.sum())
+        if total >= target_area:
+            break
+        fill = 0.5 * (fill + _MAX_FILL)
+    else:
+        raise AssertionError("coverage target unreachable")
+
+    order = rng.permutation(len(rects))
+    keep = np.ones(len(rects), dtype=bool)
+    for idx in order:
+        if total <= target_area:
+            break
+        keep[idx] = False
+        total -= areas[idx]
+    return rects[keep], total

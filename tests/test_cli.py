@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import noma_outage
 from helpers import config_dict
 from noma_outage import decoders
 from noma_outage.cli import main, rows_to_csv
@@ -185,6 +190,18 @@ def test_preset_fig4_grid(tmp_path):
     assert all(line.split(",")[1] == "32" for line in lines)
 
 
+@pytest.mark.parametrize("preset, trials", [("paper-fig4", 2), ("paper-fig5", 3)])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_preset_sweep_matches_golden_csv(preset, trials, threads, tmp_path):
+    out = tmp_path / "out.csv"
+    code = main(
+        ["sweep", "--preset", preset, "--trials", str(trials), "--seed", "0",
+         "--threads", str(threads), "--out", str(out)]
+    )
+    assert code == 0
+    assert out.read_bytes() == (Path(__file__).parent / "data" / f"{preset}.csv").read_bytes()
+
+
 def test_sweep_single_trial_single_aircraft_binary_outage(tmp_path):
     cfg = tmp_path / "tiny.yaml"
     cfg.write_text(
@@ -272,3 +289,21 @@ def test_complexity_table(capsys):
 
 def test_complexity_rejects_large_k(capsys):
     assert main(["complexity", "--K", "65"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# package import
+# ---------------------------------------------------------------------------
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("user_value", [None, "3"])
+def test_import_pins_blas_threads_unless_set(user_value):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    if user_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = user_value
+    env["PYTHONPATH"] = str(Path(noma_outage.__file__).parents[1])
+    code = "import os, noma_outage; print(*(os.environ[v] for v in %r))" % (BLAS_THREAD_VARS,)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == [user_value or "1", "1", "1"]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import covers_brute_force, great_circle_distance
+from helpers import covers_brute_force, great_circle_distance, ref_build_reflector_map, ref_lay_rows
 from noma_outage.config import ConfigError, RectangleSides, ScenarioConfig
 from noma_outage.geometry import (
     CellCapacityError,
@@ -13,6 +13,7 @@ from noma_outage.geometry import (
     EarthModel,
     GeoPoint,
     ReflectorMap,
+    _lay_rows,
     build_reflector_map,
     grazing_angle,
     gs_point,
@@ -233,6 +234,61 @@ def test_near_zero_coverage_gives_sparse_map():
 def test_unreachable_coverage_raises():
     with pytest.raises(CoverageError):
         build_reflector_map(ScenarioConfig(coverage_fraction=0.96), seed=1)
+
+
+def _small_cell(coverage, min_side):
+    return ScenarioConfig(
+        cell_radius_m=10_000.0, coverage_fraction=coverage,
+        rectangle_sides=RectangleSides(min_m=min_side, max_m=2.0 * min_side),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@example(cfg=_small_cell(0.05, 1_400.0), seed=0)  # the first row layout places nothing
+@given(
+    cfg=st.one_of(
+        st.just(ScenarioConfig()),
+        st.builds(_small_cell, st.floats(0.05, 0.9), st.floats(800.0, 2_000.0)),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_map_matches_per_row_reference(cfg, seed):
+    refl = build_reflector_map(cfg, seed)
+    rects, area = ref_build_reflector_map(cfg, seed)
+    assert np.array_equal(refl.rects, rects)
+    assert refl.area_in_disc_m2 == area
+
+
+class _LowDraws:
+    """Generator stand-in whose uniform draws sit in the bottom tenth of
+    their range, so that short widths and gaps leave rows short of the
+    square's right edge."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.scalar_calls = self.array_calls = 0
+
+    def random(self, size=None):
+        return 0.1 * self.rng.random(size)
+
+    def uniform(self, low, high, size=None):
+        if size is None:
+            self.scalar_calls += 1
+        else:
+            self.array_calls += 1
+        return low + (high - low) * self.random(size)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("fill", [0.2, 0.5, 0.9])
+def test_row_extension_matches_reference(seed, fill):
+    new, ref = _LowDraws(seed), _LowDraws(seed)
+    rects = _lay_rows(new, 10_000.0, 300.0, 3_000.0, fill)
+    assert np.array_equal(rects, ref_lay_rows(ref, 10_000.0, 300.0, 3_000.0, fill))
+    # a row draws height and offset alone and its widths and gaps as arrays,
+    # so more array draws than scalar ones means rows were extended
+    assert ref.array_calls > ref.scalar_calls
+    assert new.rng.random() == ref.rng.random()  # the same draws consumed
 
 
 def _covers(refl, pt):
