@@ -100,16 +100,19 @@ def _local_frame(center: GeoPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def point_from_local(
     center: GeoPoint, earth: EarthModel, x_east: float, y_north: float, height_m: float
 ) -> GeoPoint:
-    """Inverse azimuthal equidistant projection about the center ground point."""
-    up, east, north = _local_frame(center)
+    """Inverse azimuthal equidistant projection about the center ground point.
+
+    Scalar float arithmetic, one IEEE operation per vector component as the
+    array form (x e + y n) / rho, cos(theta) up + sin(theta) d would do."""
+    up, east, north = (v.tolist() for v in _local_frame(center))
     rho = math.hypot(x_east, y_north)
     theta = rho / earth.radius_m
     if rho < 1e-12:
         u = up
     else:
-        d = (x_east * east + y_north * north) / rho
-        u = math.cos(theta) * up + math.sin(theta) * d
-    return GeoPoint(math.asin(np.clip(u[2], -1.0, 1.0)), math.atan2(u[1], u[0]), height_m)
+        c, s = math.cos(theta), math.sin(theta)
+        u = [c * up[i] + s * ((x_east * east[i] + y_north * north[i]) / rho) for i in range(3)]
+    return GeoPoint(math.asin(min(max(u[2], -1.0), 1.0)), math.atan2(u[1], u[0]), height_m)
 
 
 def local_from_units(center: GeoPoint, earth: EarthModel, units: np.ndarray) -> np.ndarray:
@@ -131,9 +134,10 @@ def sample_aircraft_positions(cfg: ScenarioConfig, rng: np.random.Generator) -> 
     3-D minimum separation."""
     earth = EarthModel(cfg.earth_radius_m)
     center = gs_point(cfg)
+    sep = cfg.min_separation_m
     points: list[GeoPoint] = []
-    accepted_xyz: list[np.ndarray] = []
-    for _ in range(cfg.k_aircraft):
+    accepted_xyz = np.empty((cfg.k_aircraft, 3))
+    for n in range(cfg.k_aircraft):
         for attempt in range(MAX_PLACEMENT_ATTEMPTS):
             r = cfg.cell_radius_m * math.sqrt(rng.random())
             az = 2.0 * math.pi * rng.random()
@@ -141,11 +145,13 @@ def sample_aircraft_positions(cfg: ScenarioConfig, rng: np.random.Generator) -> 
                 center, earth, r * math.sin(az), r * math.cos(az), cfg.aircraft_altitude_m
             )
             xyz = pt.xyz(earth)
-            if all(
-                np.linalg.norm(xyz - other) >= cfg.min_separation_m for other in accepted_xyz
-            ):
+            diff = xyz - accepted_xyz[:n]
+            # the separation test is a 3-vector norm per pair; the batched
+            # squares only skip the pairs clearly apart
+            close = np.flatnonzero(np.einsum("ij,ij->i", diff, diff) <= (sep * (1.0 + 1e-9)) ** 2)
+            if all(np.linalg.norm(diff[j]) >= sep for j in close):
                 points.append(pt)
-                accepted_xyz.append(xyz)
+                accepted_xyz[n] = xyz
                 break
         else:
             raise CellCapacityError(

@@ -75,10 +75,7 @@ def check_instance(h, r, gamma, mutation_eps: float = 0.0) -> tuple[list[tuple[s
     everyone = frozenset(range(h.shape[1]))
     ev = RateEvaluator(h, gamma)
 
-    res_ssa = decoders.ssa(ev, r, gamma, eps=mutation_eps)
-    res_gsa = decoders.gsa(ev, r, gamma, eps=mutation_eps)
-    res_l2 = decoders.lgsa(ev, r, gamma, 2, eps=mutation_eps)
-    res_l4 = decoders.lgsa(ev, r, gamma, 4, eps=mutation_eps)
+    res_ssa, res_gsa, res_l2, res_l4 = decoders.successive(ev, r, (0, ev.k, 2, 4), mutation_eps)
     isu = decoders.isu_set(ev, r, gamma, eps=mutation_eps)
 
     for name, res in (("SSA", res_ssa), ("GSA", res_gsa), ("LGSA:2", res_l2)):

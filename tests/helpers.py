@@ -6,7 +6,18 @@ from itertools import combinations
 
 import numpy as np
 
-from noma_outage.geometry import _MAP_LAYOUTS, _MAX_FILL, _rect_disc_areas
+from noma_outage import decoders
+from noma_outage.geometry import (
+    _MAP_LAYOUTS,
+    _MAX_FILL,
+    MAX_PLACEMENT_ATTEMPTS,
+    CellCapacityError,
+    EarthModel,
+    GeoPoint,
+    _local_frame,
+    _rect_disc_areas,
+    gs_point,
+)
 from noma_outage.rates import subset_conditions_hold
 
 
@@ -81,6 +92,14 @@ def config_dict(cfg):
     if isinstance(cfg, tuple):
         return [config_dict(v) for v in cfg]
     return cfg
+
+
+def schur(ev, s_hat):
+    """I + gG with the outage set eliminated, as the prunes keep it."""
+    a = ev.a.copy()
+    for p in sorted(s_hat):
+        decoders._eliminate(a, p)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -236,3 +255,48 @@ def ref_build_reflector_map(cfg, seed):
         keep[idx] = False
         total -= areas[idx]
     return rects[keep], total
+
+
+# ---------------------------------------------------------------------------
+# Reference aircraft placement: numpy 3-vectors per candidate and one norm
+# per accepted aircraft, the loop ``geometry.sample_aircraft_positions`` must
+# reproduce bit for bit, stream consumption included.
+# ---------------------------------------------------------------------------
+
+def ref_point_from_local(center, earth, x_east, y_north, height_m):
+    up, east, north = _local_frame(center)
+    rho = math.hypot(x_east, y_north)
+    theta = rho / earth.radius_m
+    if rho < 1e-12:
+        u = up
+    else:
+        d = (x_east * east + y_north * north) / rho
+        u = math.cos(theta) * up + math.sin(theta) * d
+    return GeoPoint(math.asin(np.clip(u[2], -1.0, 1.0)), math.atan2(u[1], u[0]), height_m)
+
+
+def ref_sample_aircraft_positions(cfg, rng):
+    earth = EarthModel(cfg.earth_radius_m)
+    center = gs_point(cfg)
+    points = []
+    accepted_xyz = []
+    for _ in range(cfg.k_aircraft):
+        for attempt in range(MAX_PLACEMENT_ATTEMPTS):
+            r = cfg.cell_radius_m * math.sqrt(rng.random())
+            az = 2.0 * math.pi * rng.random()
+            pt = ref_point_from_local(
+                center, earth, r * math.sin(az), r * math.cos(az), cfg.aircraft_altitude_m
+            )
+            xyz = pt.xyz(earth)
+            if all(
+                np.linalg.norm(xyz - other) >= cfg.min_separation_m for other in accepted_xyz
+            ):
+                points.append(pt)
+                accepted_xyz.append(xyz)
+                break
+        else:
+            raise CellCapacityError(
+                f"could not place aircraft {len(points) + 1}/{cfg.k_aircraft} with "
+                f"{cfg.min_separation_m} m separation in {MAX_PLACEMENT_ATTEMPTS} attempts"
+            )
+    return points

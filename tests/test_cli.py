@@ -261,18 +261,19 @@ def test_validate_rejects_negative_seed(capsys):
 
 
 def test_validate_runs_gsa_once_per_instance(monkeypatch):
+    # GSA runs in the one pass of the nested decoders, with SSA, LGSA:2 and LGSA:4
     calls = []
-    gsa = decoders.gsa
+    successive = decoders.successive
 
-    def counted_gsa(*args, **kwargs):
-        calls.append(args)
-        return gsa(*args, **kwargs)
+    def counted_successive(ev, r, limits, eps=0.0):
+        calls.append(tuple(limits) == (0, ev.k, 2, 4))
+        return successive(ev, r, limits, eps)
 
-    monkeypatch.setattr(decoders, "gsa", counted_gsa)
+    monkeypatch.setattr(decoders, "successive", counted_successive)
     report = run_validation(seed=3, instances=20)
     assert report.passed
     assert sum(report.decoded_histogram.values()) == 20
-    assert len(calls) == 20
+    assert calls == [True] * 20
 
 
 # ---------------------------------------------------------------------------

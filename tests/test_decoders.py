@@ -22,8 +22,11 @@ from noma_outage.decoders import (
     ssa,
     vblast_order,
 )
-from noma_outage.montecarlo import run_algorithms
-from noma_outage.rates import MultCounter, RateEvaluator
+from noma_outage.channel import LinkBudget
+from noma_outage.cli import PRESETS
+from noma_outage.config import ScenarioConfig
+from noma_outage.montecarlo import build_trial_channel, draw_variable_rates, run_algorithms
+from noma_outage.rates import MultCounter, RateEvaluator, subset_conditions_hold
 from noma_outage.validation import random_instance
 
 
@@ -47,7 +50,8 @@ def test_prune_keeps_feasible_aircraft():
     h = random_channel(np.random.default_rng(0), 4, 4)
     r = np.full(4, 0.01)
     l_set, s_hat = set(range(4)), set()
-    _prune_aircraft(RateEvaluator(h, 2.0), r, l_set, s_hat, None, 0.0)
+    ev = RateEvaluator(h, 2.0)
+    _prune_aircraft(ev, ev.a.copy(), r, l_set, s_hat, None, 0.0)
     assert l_set == set(range(4)) and s_hat == set()
 
 
@@ -55,7 +59,8 @@ def test_prune_removes_unreachable_rates():
     h = random_channel(np.random.default_rng(1), 4, 4)
     r = np.full(4, 1e6)
     l_set, s_hat = set(range(4)), set()
-    _prune_aircraft(RateEvaluator(h, 2.0), r, l_set, s_hat, None, 0.0)
+    ev = RateEvaluator(h, 2.0)
+    _prune_aircraft(ev, ev.a.copy(), r, l_set, s_hat, None, 0.0)
     assert l_set == set() and s_hat == set(range(4))
 
 
@@ -72,7 +77,8 @@ def test_prune_cascade_reaches_fixpoint():
     assert r1_under_2 < r[1] <= a1
 
     l_set, s_hat = {0, 1, 2}, set()
-    _prune_aircraft(RateEvaluator(h, gamma), r, l_set, s_hat, None, 0.0)
+    ev = RateEvaluator(h, gamma)
+    _prune_aircraft(ev, ev.a.copy(), r, l_set, s_hat, None, 0.0)
     assert s_hat == {1, 2} and l_set == {0}
 
     # independent fixpoint oracle: exhaustive passes on the direct formula
@@ -175,7 +181,8 @@ def test_prune_subsets_orthogonal_untouched():
     h = np.eye(3, dtype=complex)
     r = np.full(3, 0.5)
     l_set, s_hat = {0, 1, 2}, set()
-    _prune_subsets(RateEvaluator(h, 1.0), r, l_set, s_hat, None, 0.0)
+    ev = RateEvaluator(h, 1.0)
+    _prune_subsets(ev, ev.a.copy(), r, l_set, s_hat, None, 0.0)
     assert l_set == {0, 1, 2} and s_hat == set()
 
 
@@ -186,7 +193,8 @@ def test_prune_subsets_identical_columns_pair_outage():
     r = np.array([0.9 * a, 0.9 * a])
     assert r.sum() > pair and all(ri <= a for ri in r)
     l_set, s_hat = {0, 1}, set()
-    _prune_subsets(RateEvaluator(h, gamma), r, l_set, s_hat, None, 0.0)
+    ev = RateEvaluator(h, gamma)
+    _prune_subsets(ev, ev.a.copy(), r, l_set, s_hat, None, 0.0)
     assert l_set == set() and s_hat == {0, 1}
 
 
@@ -210,7 +218,8 @@ def test_prune_subsets_cascades_into_single_prune():
     assert r0 <= direct_group_rate(h, (0,), (), gamma)
     r = np.array([r0, r1, r2])
     l_set, s_hat = {0, 1, 2}, set()
-    _prune_subsets(RateEvaluator(h, gamma), r, l_set, s_hat, None, 0.0)
+    ev = RateEvaluator(h, gamma)
+    _prune_subsets(ev, ev.a.copy(), r, l_set, s_hat, None, 0.0)
     assert s_hat == {0, 1, 2} and l_set == set()
 
 
@@ -499,12 +508,13 @@ def test_mult_counters_accumulate_per_algorithm():
     ev = RateEvaluator(h, 5.0)
     counter = MultCounter()
     l_set, s_star, s_hat = set(range(4)), set(), set()
-    _prune_aircraft(ev, r, l_set, s_hat, counter, 0.0)
+    a = ev.a.copy()
+    _prune_aircraft(ev, a, r, l_set, s_hat, counter, 0.0)
     w = ev.whitened_inverse(range(4)).copy()
     _greedy_group(ev, w, r, l_set, s_star, s_hat, [], 1, counter, 0.0, 1)
     assert ssa(h, r, 5.0).mult_count == counter.total > 0
     # each outcome carries its own count; a group decoder adds to SSA's phases
-    _prune_subsets(ev, r, l_set, s_hat, counter, 0.0)
+    _prune_subsets(ev, a, r, l_set, s_hat, counter, 0.0)
     _greedy_group(ev, w, r, l_set, s_star, s_hat, [], 4, counter, 0.0, 2)
     assert ssa(h, r, 5.0).mult_count < gsa(h, r, 5.0).mult_count == counter.total
 
@@ -558,7 +568,10 @@ def _run_loop(loop, fast, h, r, gamma, eps, outage0, order):
     k = h.shape[1]
     l_set, s_star, s_hat, plan = set(range(k)) - outage0, set(), set(outage0), []
     if loop == "prune_aircraft":
-        (_prune_aircraft if fast else helpers.ref_prune_aircraft)(ev, r, l_set, s_hat, counter, eps)
+        if fast:
+            _prune_aircraft(ev, helpers.schur(ev, s_hat), r, l_set, s_hat, counter, eps)
+        else:
+            helpers.ref_prune_aircraft(ev, r, l_set, s_hat, counter, eps)
     elif loop == "greedy_sic":
         (_greedy_sic if fast else helpers.ref_greedy_sic)(ev, r, l_set, s_star, s_hat, plan, counter, eps)
     elif loop == "greedy_group":  # from size 2, as after the pair prune, with no size limit
@@ -568,7 +581,10 @@ def _run_loop(loop, fast, h, r, gamma, eps, outage0, order):
         else:
             helpers.ref_greedy_group(ev, r, l_set, s_star, s_hat, plan, k, counter, eps, 2)
     elif loop == "prune_subsets":
-        (_prune_subsets if fast else helpers.ref_prune_subsets)(ev, r, l_set, s_hat, counter, eps)
+        if fast:
+            _prune_subsets(ev, helpers.schur(ev, s_hat), r, l_set, s_hat, counter, eps)
+        else:
+            helpers.ref_prune_subsets(ev, r, l_set, s_hat, counter, eps)
     elif loop == "isu_set":
         s_star = isu_set(ev, r, gamma, counter, eps) if fast else helpers.ref_isu_set(ev, r, counter, eps)
     elif loop == "vblast_order":
@@ -626,3 +642,179 @@ def test_elimination_loop_matches_cholesky_loop(loop, seed, m, k, eps, outage_ma
     order = tuple(int(i) for i in rng.permutation(k))
     fast = _run_loop(loop, True, h, r, gamma, eps, outage0, order)
     assert fast == _run_loop(loop, False, h, r, gamma, eps, outage0, order)
+
+
+# ---------------------------------------------------------------------------
+# polymatroid certificates against brute force
+# ---------------------------------------------------------------------------
+
+def _put_tie(r, group, target, ulp):
+    """Rates on a group summing to target exactly, or one ulp either side:
+    halves down to two equal smallest shares, so the sum in index order is exact."""
+    target = target if ulp == 0 else np.nextafter(target, ulp * np.inf)
+    n = len(group)
+    r[group] = target * np.array([2.0 ** -(n - 1)] + [2.0 ** -(n - j) for j in range(1, n)])
+
+
+def _state(seed, tie):
+    """A random_instance draw (K <= 7) part-way through a decoder run:
+    (ev, W, r, L, S_hat), with the decoded aircraft pivoted out of W.
+
+    ``tie`` = (size, side, ulp) puts a rate sum exactly at, or one ulp either
+    side of, its threshold (eps included): on the first ``size`` aircraft of
+    L, for the full condition against U minus them (side "full") or for the
+    subset condition inside L, against S_hat (side "subset")."""
+    rng = np.random.default_rng(seed)
+    h, r, gamma = random_instance(rng, k_max=7)
+    k = h.shape[1]
+    ev = RateEvaluator(h, gamma)
+    order = rng.permutation(k).tolist()
+    n_dec = int(rng.integers(0, k - 1))
+    n_out = int(rng.integers(0, k - n_dec - 1))
+    decoded, s_hat, l_set = order[:n_dec], set(order[n_dec : n_dec + n_out]), set(order[n_dec + n_out :])
+    w = ev.whitened_inverse(range(k)).copy()
+    for p in decoded:
+        decoders._eliminate(w, p)
+    if tie is not None:
+        size, side, ulp, eps = tie
+        group = sorted(l_set)[: min(size, len(l_set) - (side == "subset"))]
+        if group:
+            rest = s_hat if side == "subset" else (l_set | s_hat) - set(group)
+            _put_tie(r, group, ev.group_rate(group, rest) + eps, ulp)
+    return ev, w, r, l_set, s_hat
+
+
+_TIES = st.none() | st.tuples(st.integers(1, 7), st.sampled_from(["full", "subset"]), st.sampled_from([-1, 0, 1]))
+_EPS = st.sampled_from([0.0, -0.1, 0.05])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), eps=_EPS, v=st.integers(1, 4), tie=_TIES)
+def test_fruitless_certificate_never_skips_a_passing_group(seed, eps, v, tie):
+    ev, w, r, l_set, s_hat = _state(seed, tie and tie + (eps,))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decoders, "_CERTIFY_ABOVE", 0)
+        last = decoders._fruitless_through(w, r, l_set, v, len(l_set), eps)
+    assert v - 1 <= last <= max(len(l_set), v - 1)
+    u = l_set | s_hat
+    for size in range(v, last + 1):
+        for c in itertools.combinations(sorted(l_set), size):
+            assert r[list(c)].sum() > ev.group_rate(c, u - set(c)) + eps, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), eps=_EPS, tie=_TIES)
+def test_subset_certificate_matches_brute_force(seed, eps, tie):
+    ev, w, r, l_set, s_hat = _state(seed, tie and tie + (eps,))
+    u = l_set | s_hat
+    for size in range(2, len(l_set) + 1):
+        for c in itertools.combinations(sorted(l_set), size):
+            t = u - set(c)
+            if r[list(c)].sum() > ev.group_rate(c, t) + eps:
+                continue  # the scan checks subsets of feasible groups only
+            brute, certified = MultCounter(), MultCounter()
+            want = subset_conditions_hold(ev, r, c, t, brute, eps, skip_full=True)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(decoders, "_CERTIFY_ABOVE", 0)
+                got = decoders._subsets_hold(ev, w, r, c, t, certified, eps)
+            assert (got, certified.total) == (want, brute.total), c
+
+
+def test_certificates_fire_on_most_random_states(monkeypatch):
+    # the brute-force tests above pass vacuously if nothing is certified
+    monkeypatch.setattr(decoders, "_CERTIFY_ABOVE", 0)
+    fallbacks = []
+    brute_force = decoders.subset_conditions_hold
+
+    def counted(*args, **kwargs):
+        fallbacks.append(args)
+        return brute_force(*args, **kwargs)
+
+    monkeypatch.setattr(decoders, "subset_conditions_hold", counted)
+    fruitless = certified = feasible = 0
+    for seed in range(300):
+        ev, w, r, l_set, s_hat = _state(seed, None)
+        u = l_set | s_hat
+        fails = {c: r[list(c)].sum() > ev.group_rate(c, u - set(c))
+                 for size in range(1, len(l_set) + 1) for c in itertools.combinations(sorted(l_set), size)}
+        if all(fails.values()):
+            fruitless += 1
+            certified += decoders._fruitless_through(w, r, l_set, 1, len(l_set), 0.0) == len(l_set)
+        for c, fail in fails.items():
+            t = u - set(c)
+            if len(c) > 1 and not fail and subset_conditions_hold(ev, r, c, t, skip_full=True):
+                feasible += 1
+                assert decoders._subsets_hold(ev, w, r, c, t, None, 0.0)
+    assert fruitless > 40 and certified >= 0.9 * fruitless
+    assert feasible > 300 and feasible - len(fallbacks) >= 0.9 * feasible
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    eps=_EPS,
+    ties=st.lists(st.tuples(st.integers(1, 7), st.sampled_from(["full", "subset"]), st.sampled_from([-1, 0, 1])), max_size=2),
+)
+def test_certificates_leave_nested_outcomes_unchanged(seed, eps, ties):
+    h, r, gamma = random_instance(np.random.default_rng(seed), k_max=7)
+    k = h.shape[1]
+    ev = RateEvaluator(h, gamma)
+    for size, side, ulp in ties:  # ties on the first aircraft, against the rest or alone
+        group = list(range(min(size, k)))
+        _put_tie(r, group, ev.group_rate(group, set(range(k)) - set(group) if side == "full" else ()) + eps, ulp)
+    limits = (0, 1, 2, 3, 4, k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decoders, "_CERTIFY_ABOVE", 0)
+        certified = decoders.successive(RateEvaluator(h, gamma), r, limits, eps)
+        mp.setattr(decoders, "_CERTIFY_ABOVE", float("inf"))
+        scanned = decoders.successive(RateEvaluator(h, gamma), r, limits, eps)
+    assert certified == scanned
+
+
+# ---------------------------------------------------------------------------
+# group-scan tails, pinned to the outcomes of the full scan
+# ---------------------------------------------------------------------------
+
+_VARIABLE_07B = dict(k_aircraft=32, m_antennas=64, rate_mode="variable_rate", r_g=2.0, r_max=6.0,
+                     k_list=(16, 32), master_seed=7)
+
+
+@pytest.mark.parametrize(
+    "config, trial, r_g, want",
+    [
+        # acceptance criterion 07b, trial 364 at K = 32: a 21-aircraft group
+        # decodes after sizes 5-20 all fail; 2^21 - 2 subset checks
+        (_VARIABLE_07B, 364, None,
+         {"SSA": (11, 98897920), "LGSA:2": (11, 228782080), "LGSA:4": (11, 4693155840),
+          "GSA": (32, 1370181148672)}),
+        # paper-fig4, seed 4, trial 5 at r_G = 8: a fruitless round with |L| = 18
+        (dict(PRESETS["paper-fig4"], master_seed=4), 5, 8.0,
+         {"SSA": (7, 107372544), "LGSA:2": (9, 374591488), "LGSA:4": (9, 2771881984),
+          "GSA": (9, 162403225600)}),
+    ],
+    ids=["criterion-07b-trial-364", "fig4-seed4-trial5"],
+)
+def test_group_scan_tail_trials(monkeypatch, config, trial, r_g, want):
+    cfg = ScenarioConfig().replace(**config)
+    h = build_trial_channel(cfg, trial).h
+    gamma = LinkBudget.from_config(cfg).snr_linear
+    r = draw_variable_rates(cfg, trial) if r_g is None else np.full(cfg.k_aircraft, r_g)
+    work = {"group_rate": 0, "scanned": 0}
+    group_rate, batched = RateEvaluator.group_rate, decoders._batched_submatrix_log2det
+
+    def counted_group_rate(ev, *args, **kwargs):
+        work["group_rate"] += 1
+        return group_rate(ev, *args, **kwargs)
+
+    def counted_batched(w, pos):
+        work["scanned"] += len(pos)
+        return batched(w, pos)
+
+    monkeypatch.setattr(RateEvaluator, "group_rate", counted_group_rate)
+    monkeypatch.setattr(decoders, "_batched_submatrix_log2det", counted_batched)
+    res = run_algorithms(RateEvaluator(h, gamma), h, r, gamma, tuple(want), tuple(range(cfg.k_aircraft)))
+    assert {tok: (out.n_decoded, out.mult_count) for tok, out in res.items()} == want
+    # the full scan made about 2.1M group_rate calls and scanned 2.1M
+    # candidates on the first trial, 2 calls and 262,505 on the second
+    assert work["group_rate"] <= 100
+    assert work["scanned"] <= 10_000

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import covers_brute_force, great_circle_distance, ref_build_reflector_map, ref_lay_rows
+from helpers import (
+    covers_brute_force,
+    great_circle_distance,
+    ref_build_reflector_map,
+    ref_lay_rows,
+    ref_sample_aircraft_positions,
+)
 from noma_outage.config import ConfigError, RectangleSides, ScenarioConfig
 from noma_outage.geometry import (
     CellCapacityError,
@@ -93,6 +99,48 @@ def test_overcrowded_cell_raises_capacity_error():
     cfg = ScenarioConfig(k_aircraft=12, cell_radius_m=12_000.0, min_separation_m=10_000.0)
     with pytest.raises(CellCapacityError):
         sample_aircraft_positions(cfg, np.random.default_rng(0))
+
+
+def _placements(sample, cfg, seed):
+    """(points or the error message, the next draw): what a placement
+    returns and where it leaves the stream."""
+    rng = np.random.default_rng(seed)
+    try:
+        out = sample(cfg, rng)
+    except CellCapacityError as err:
+        out = str(err)
+    return out, rng.random()
+
+
+@pytest.mark.parametrize(
+    "sides, seeds",
+    [
+        (dict(), 40),  # default cell: 222 km, 32 aircraft
+        (dict(k_aircraft=16, cell_radius_m=20_000.0, min_separation_m=4_000.0), 40),  # frequent resampling
+        (dict(k_aircraft=8, earth_radius_m=1_000_000.0, aircraft_altitude_m=0.0), 40),
+        (dict(k_aircraft=12, cell_radius_m=12_000.0, min_separation_m=10_000.0), 2),  # capacity error
+    ],
+)
+def test_placement_matches_reference_loop(sides, seeds):
+    cfg = ScenarioConfig(**sides)
+    for seed in range(seeds):
+        assert _placements(sample_aircraft_positions, cfg, seed) == _placements(
+            ref_sample_aircraft_positions, cfg, seed
+        )
+
+
+def test_placement_ties_on_separation_match_reference_loop():
+    # a separation limit exactly at, or one ulp either side of, the distance
+    # between the first two draws: the decision of the one-at-a-time norm
+    for seed in range(20):
+        cfg = ScenarioConfig(k_aircraft=2, min_separation_m=1.0)
+        first = ref_sample_aircraft_positions(cfg, np.random.default_rng(seed))
+        d = float(np.linalg.norm(first[1].xyz(EARTH) - first[0].xyz(EARTH)))
+        for sep in (d, np.nextafter(d, np.inf), np.nextafter(d, 0.0)):
+            cfg = cfg.replace(min_separation_m=float(sep))
+            assert _placements(sample_aircraft_positions, cfg, seed) == _placements(
+                ref_sample_aircraft_positions, cfg, seed
+            )
 
 
 # ---------------------------------------------------------------------------
