@@ -15,21 +15,21 @@ per element (spherical wavefront, no plane-wave approximation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import GroundParams, ScenarioConfig
+from .config import SPEED_OF_LIGHT, GroundParams, ScenarioConfig
 from .geometry import (
+    EarthModel,
+    GeoPoint,
     ReflectorMap,
-    ScenarioGeometry,
     _local_frame,
     grazing_angle,
+    gs_point,
     local_from_units,
     specular_reflection_points_batch,
 )
-
-SPEED_OF_LIGHT = 299_792_458.0
 
 
 @dataclass(frozen=True)
@@ -52,16 +52,6 @@ class LinkBudget:
         return cls(cfg.tx_power_dbm, cfg.noise_power_dbm, cfg.carrier_hz)
 
 
-@dataclass(frozen=True)
-class GroundElectrical:
-    relative_permittivity: float = 3.0
-    conductivity_sm: float = 1e-4
-
-    @classmethod
-    def from_params(cls, ground: GroundParams) -> "GroundElectrical":
-        return cls(ground.eps_r, ground.sigma_sm)
-
-
 def upra_element_positions(m_antennas: int, wavelength_m: float) -> np.ndarray:
     """Offsets (m, 3) of a sqrt(M) x sqrt(M) half-wavelength grid, centered on
     the array reference point, in a local (east, north, up) frame."""
@@ -74,21 +64,8 @@ def upra_element_positions(m_antennas: int, wavelength_m: float) -> np.ndarray:
     return np.column_stack([xx.ravel(), yy.ravel(), np.zeros(m_antennas)])
 
 
-@dataclass(frozen=True)
-class ArrayLayout:
-    """Planar array at the station: element offsets in the horizontal plane."""
-
-    m_antennas: int
-    spacing_m: float
-    element_positions: np.ndarray
-
-    @classmethod
-    def upra(cls, m_antennas: int, wavelength_m: float) -> "ArrayLayout":
-        return cls(m_antennas, wavelength_m / 2.0, upra_element_positions(m_antennas, wavelength_m))
-
-
 def vertical_reflection_coefficient(
-    grazing_rad: float, ground: GroundElectrical, carrier_hz: float
+    grazing_rad: float, ground: GroundParams, carrier_hz: float
 ) -> complex:
     """Fresnel reflection coefficient for vertical polarization.
 
@@ -100,7 +77,7 @@ def vertical_reflection_coefficient(
     with psi the grazing angle.  |rho_v| <= 1 for any passive ground.
     """
     wavelength = SPEED_OF_LIGHT / carrier_hz
-    eps = ground.relative_permittivity - 1j * 60.0 * wavelength * ground.conductivity_sm
+    eps = ground.eps_r - 1j * 60.0 * wavelength * ground.sigma_sm
     sin_psi = np.sin(grazing_rad)
     cos2 = np.cos(grazing_rad) ** 2
     root = np.sqrt(eps - cos2)
@@ -114,60 +91,47 @@ class ChannelMatrix:
     h: np.ndarray
     h_los: np.ndarray
     h_gmp: np.ndarray
-    wavelength_m: float
     gmp_present: np.ndarray
-    d_los: np.ndarray = field(default=None)
-    d_gmp: np.ndarray = field(default=None)
-    rho_v: np.ndarray = field(default=None)
-
-    @property
-    def m_antennas(self) -> int:
-        return self.h.shape[0]
-
-    @property
-    def k_aircraft(self) -> int:
-        return self.h.shape[1]
+    d_los: np.ndarray
+    d_gmp: np.ndarray
+    rho_v: np.ndarray
 
 
-def element_positions_xyz(geom: ScenarioGeometry, layout: ArrayLayout) -> np.ndarray:
+def element_positions_xyz(gs: GeoPoint, earth: EarthModel, offsets: np.ndarray) -> np.ndarray:
     """Absolute element positions: offsets applied in the station's local
     (east, north, up) frame."""
-    up, east, north = _local_frame(geom.gs)
+    up, east, north = _local_frame(gs)
     basis = np.vstack([east, north, up])
-    return geom.gs.xyz(geom.earth)[None, :] + layout.element_positions @ basis
+    return gs.xyz(earth)[None, :] + offsets @ basis
 
 
 def channel_matrix(
-    geom: ScenarioGeometry,
-    refl_map: ReflectorMap,
-    layout: ArrayLayout,
-    ground: GroundElectrical,
-    budget: LinkBudget,
+    cfg: ScenarioConfig, aircraft: tuple[GeoPoint, ...], refl_map: ReflectorMap
 ) -> ChannelMatrix:
     """Assemble the M x K channel for one realization.
 
     The specular point and grazing angle are computed once per aircraft from
     the array reference point; path lengths are per element.
     """
-    lam = budget.wavelength_m
-    earth = geom.earth
-    elems = element_positions_xyz(geom, layout)  # (M, 3)
-    acs = np.array([p.xyz(earth) for p in geom.aircraft])  # (K, 3)
+    lam = LinkBudget.from_config(cfg).wavelength_m
+    earth = EarthModel(cfg.earth_radius_m)
+    gs = gs_point(cfg)
+    elems = element_positions_xyz(gs, earth, upra_element_positions(cfg.m_antennas, lam))  # (M, 3)
+    acs = np.array([p.xyz(earth) for p in aircraft])  # (K, 3)
 
     diff = acs[None, :, :] - elems[:, None, :]
     d_los = np.linalg.norm(diff, axis=2)  # (M, K)
     h_los = lam / (4.0 * math.pi * d_los) * np.exp(-2j * math.pi * d_los / lam)
 
-    spec = specular_reflection_points_batch(geom.gs, acs, earth)  # (K, 3)
-    local = local_from_units(
-        refl_map.center, earth, spec / np.linalg.norm(spec, axis=1, keepdims=True)
-    )
+    spec = specular_reflection_points_batch(gs, acs, earth)  # (K, 3)
+    # the map's local coordinates are about the station's ground point
+    local = local_from_units(gs, earth, spec / np.linalg.norm(spec, axis=1, keepdims=True))
     present = refl_map.covers_local(local[:, 0], local[:, 1])
 
-    psi = grazing_angle(spec, np.array([geom.gs.xyz(earth)] * len(acs)))
+    psi = grazing_angle(spec, np.array([gs.xyz(earth)] * len(acs)))
     rho = np.where(
         present,
-        vertical_reflection_coefficient(psi, ground, budget.carrier_hz),
+        vertical_reflection_coefficient(psi, cfg.ground, cfg.carrier_hz),
         0.0 + 0.0j,
     )
 
@@ -181,10 +145,8 @@ def channel_matrix(
         h=h_los + h_gmp,
         h_los=h_los,
         h_gmp=h_gmp,
-        wavelength_m=lam,
         gmp_present=present,
         d_los=d_los,
         d_gmp=d_gmp,
         rho_v=rho,
     )
-

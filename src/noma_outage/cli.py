@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 configuration or usage error, 2 runtime failure,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -113,6 +114,9 @@ def cmd_validate(args) -> int:
     if args.instances < 1 or args.seed < 0:
         print(f"config error: validate needs --instances >= 1 and --seed >= 0, got "
               f"{args.instances} and {args.seed}", file=sys.stderr)
+        return 1
+    if not math.isfinite(args.epsilon):
+        print(f"config error: --epsilon must be finite, got {args.epsilon}", file=sys.stderr)
         return 1
     report = run_validation(args.seed, args.instances, mutation_eps=args.epsilon)
     mix = ", ".join(f"{k}={v}" for k, v in sorted(report.decoded_histogram.items()))

@@ -9,6 +9,7 @@ with 10 km minimum separation, a 64-element half-wavelength planar array at
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Any
@@ -17,6 +18,8 @@ import yaml
 
 EQUAL_RATE = "equal_rate"
 VARIABLE_RATE = "variable_rate"
+
+SPEED_OF_LIGHT = 299_792_458.0
 
 #: Canonical algorithm tokens accepted in configs and on the CLI.  LGSA takes
 #: a group-size limit suffix, e.g. "LGSA:2".
@@ -34,7 +37,8 @@ _FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "s
 
 def _check_field_types(obj, prefix: str = "") -> None:
     """Reject a value of the wrong type, e.g. a YAML "2" or 1.5 where an int
-    belongs; a bool is not taken for a number."""
+    belongs, and a float that is NaN or infinite; a bool is not taken for a
+    number."""
     for f in dataclasses.fields(obj):
         kind, values = f.type, (getattr(obj, f.name),)
         if kind.startswith("tuple["):
@@ -47,6 +51,8 @@ def _check_field_types(obj, prefix: str = "") -> None:
         for value in values:
             if not isinstance(value, expected) or (isinstance(value, bool) and kind != "bool"):
                 raise ConfigError(f"{prefix}{f.name} must be of type {kind}, got {value!r}")
+            if kind == "float" and not math.isfinite(value):
+                raise ConfigError(f"{prefix}{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -136,7 +142,7 @@ class ScenarioConfig:
             )
         self.ground.validate()
         self.rectangle_sides.validate()
-        wavelength = 299_792_458.0 / self.carrier_hz
+        wavelength = SPEED_OF_LIGHT / self.carrier_hz
         if self.rectangle_sides.min_m < 10.0 * wavelength:
             raise ConfigError(
                 "rectangle_sides.min_m must be at least 10 wavelengths "

@@ -73,13 +73,6 @@ class GeoPoint:
         return (earth.radius_m + self.height_m) * self.unit()
 
 
-@dataclass(frozen=True)
-class ScenarioGeometry:
-    earth: EarthModel
-    gs: GeoPoint
-    aircraft: tuple[GeoPoint, ...]
-
-
 def gs_point(cfg: ScenarioConfig) -> GeoPoint:
     return GeoPoint(0.0, 0.0, cfg.gs_height_m)
 
@@ -161,12 +154,9 @@ def sample_aircraft_positions(cfg: ScenarioConfig, rng: np.random.Generator) -> 
     return points
 
 
-def scenario_geometry(cfg: ScenarioConfig, rng: np.random.Generator) -> ScenarioGeometry:
-    return ScenarioGeometry(
-        earth=EarthModel(cfg.earth_radius_m),
-        gs=gs_point(cfg),
-        aircraft=tuple(sample_aircraft_positions(cfg, rng)),
-    )
+def scenario_geometry(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[GeoPoint, ...]:
+    """The aircraft of one realization; the station is ``gs_point(cfg)``."""
+    return tuple(sample_aircraft_positions(cfg, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +239,9 @@ class ReflectorMap:
     coordinates around the station.
 
     ``rects`` has rows (xmin, ymin, xmax, ymax); every rectangle intersects
-    the cell disc and total in-disc rectangle area equals
-    ``coverage_fraction`` times the disc area to within one rectangle.
+    the cell disc and the total in-disc rectangle area, ``area_in_disc_m2``,
+    equals the configured ``coverage_fraction`` times the disc area to
+    within one rectangle.
 
     Row order: rectangles lie in horizontal bands whose members share
     (ymin, ymax); bands are disjoint except for shared edges and appear in
@@ -259,10 +250,6 @@ class ReflectorMap:
     """
 
     rects: np.ndarray
-    coverage_fraction: float
-    seed: int
-    center: GeoPoint
-    earth: EarthModel
     area_in_disc_m2: float
 
     def covers_local(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -452,11 +439,4 @@ def build_reflector_map(cfg: ScenarioConfig, seed: int) -> ReflectorMap:
     n_cut = np.count_nonzero(left[:-1] > target_area)
     keep = np.ones(len(rects), dtype=bool)
     keep[order[:n_cut]] = False
-    return ReflectorMap(
-        rects=rects.compress(keep, axis=0),
-        coverage_fraction=target,
-        seed=int(seed),
-        center=GeoPoint(0.0, 0.0, 0.0),
-        earth=EarthModel(cfg.earth_radius_m),
-        area_in_disc_m2=float(left[n_cut]),
-    )
+    return ReflectorMap(rects=rects.compress(keep, axis=0), area_in_disc_m2=float(left[n_cut]))

@@ -25,10 +25,10 @@ from typing import Iterable
 import numpy as np
 
 from . import decoders
-from .channel import ArrayLayout, ChannelMatrix, GroundElectrical, LinkBudget, channel_matrix
+from .channel import ChannelMatrix, LinkBudget, channel_matrix
 from .config import EQUAL_RATE, VARIABLE_RATE, ScenarioConfig, parse_algorithm
 from .decoders import DecodeOutcome
-from .geometry import ReflectorMap, ScenarioGeometry, build_reflector_map, scenario_geometry
+from .geometry import GeoPoint, ReflectorMap, build_reflector_map, scenario_geometry
 from .rates import MultCounter, RateEvaluator
 
 
@@ -76,24 +76,23 @@ def _map_seed(seed_seq: np.random.SeedSequence) -> int:
     return int(seed_seq.generate_state(1, np.uint64)[0])
 
 
-def build_trial_geometry(cfg: ScenarioConfig, trial_index: int) -> tuple[ScenarioGeometry, ReflectorMap]:
+def build_trial_geometry(
+    cfg: ScenarioConfig, trial_index: int
+) -> tuple[tuple[GeoPoint, ...], ReflectorMap]:
+    """(aircraft, reflector map) of one trial index."""
     pos_ss, map_ss, _, _ = _trial_seeds(cfg, trial_index)
-    geom = scenario_geometry(cfg, np.random.default_rng(pos_ss))
+    aircraft = scenario_geometry(cfg, np.random.default_rng(pos_ss))
     if cfg.freeze_reflector_map:
         frozen_ss = np.random.SeedSequence((cfg.master_seed,))
         refl = build_reflector_map(cfg, _map_seed(frozen_ss))
     else:
         refl = build_reflector_map(cfg, _map_seed(map_ss))
-    return geom, refl
+    return aircraft, refl
 
 
 def build_trial_channel(cfg: ScenarioConfig, trial_index: int) -> ChannelMatrix:
     """Deterministic channel realization for one trial index."""
-    geom, refl = build_trial_geometry(cfg, trial_index)
-    budget = LinkBudget.from_config(cfg)
-    layout = ArrayLayout.upra(cfg.m_antennas, budget.wavelength_m)
-    ground = GroundElectrical.from_params(cfg.ground)
-    return channel_matrix(geom, refl, layout, ground, budget)
+    return channel_matrix(cfg, *build_trial_geometry(cfg, trial_index))
 
 
 def draw_variable_rates(cfg: ScenarioConfig, trial_index: int) -> np.ndarray:

@@ -6,24 +6,26 @@ import pytest
 from helpers import gmp_channel, los_channel
 from noma_outage.channel import (
     SPEED_OF_LIGHT,
-    ArrayLayout,
-    GroundElectrical,
     LinkBudget,
     channel_matrix,
     element_positions_xyz,
     upra_element_positions,
     vertical_reflection_coefficient,
 )
-from noma_outage.config import ScenarioConfig
+from noma_outage.config import GroundParams, ScenarioConfig
 from noma_outage.geometry import (
+    EarthModel,
     build_reflector_map,
+    grazing_angle,
+    gs_point,
     scenario_geometry,
     specular_reflection_points_batch,
 )
+from noma_outage.montecarlo import build_trial_channel, build_trial_geometry
 
 BUDGET = LinkBudget()
 LAM = BUDGET.wavelength_m
-GROUND = GroundElectrical()
+GROUND = GroundParams()
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +95,7 @@ def test_rho_v_grazing_limit_is_minus_one():
 
 
 def test_rho_v_normal_incidence_lossless():
-    ground = GroundElectrical(relative_permittivity=3.0, conductivity_sm=0.0)
+    ground = GroundParams(eps_r=3.0, sigma_sm=0.0)
     rho = vertical_reflection_coefficient(math.pi / 2.0, ground, BUDGET.carrier_hz)
     expected = (math.sqrt(3.0) - 1.0) / (math.sqrt(3.0) + 1.0)
     assert rho.real == pytest.approx(expected, rel=1e-12)
@@ -102,7 +104,7 @@ def test_rho_v_normal_incidence_lossless():
 
 def test_rho_v_minimum_at_pseudo_brewster_angle():
     # lossless ground: |rho_v| -> 0 exactly where tan(psi) = 1/sqrt(eps_r)
-    ground = GroundElectrical(relative_permittivity=3.0, conductivity_sm=0.0)
+    ground = GroundParams(eps_r=3.0, sigma_sm=0.0)
     psi = np.linspace(1e-4, math.pi / 2.0, 20001)
     mags = np.abs(
         np.array([vertical_reflection_coefficient(p, ground, BUDGET.carrier_hz) for p in psi])
@@ -115,7 +117,7 @@ def test_rho_v_magnitude_bounded_by_one():
     rng = np.random.default_rng(0)
     for _ in range(500):
         psi = rng.uniform(1e-6, math.pi / 2.0)
-        ground = GroundElectrical(rng.uniform(1.0, 30.0), 10.0 ** rng.uniform(-5, 0))
+        ground = GroundParams(rng.uniform(1.0, 30.0), 10.0 ** rng.uniform(-5, 0))
         assert abs(vertical_reflection_coefficient(psi, ground, BUDGET.carrier_hz)) <= 1.0 + 1e-12
 
 
@@ -173,15 +175,14 @@ def test_two_ray_interference_against_direct_sum():
 # ---------------------------------------------------------------------------
 
 def _build(cfg, seed=0, map_seed=1):
-    geom = scenario_geometry(cfg, np.random.default_rng(seed))
+    aircraft = scenario_geometry(cfg, np.random.default_rng(seed))
     refl = build_reflector_map(cfg, map_seed)
-    layout = ArrayLayout.upra(cfg.m_antennas, LAM)
-    return geom, refl, channel_matrix(geom, refl, layout, GroundElectrical.from_params(cfg.ground), BUDGET)
+    return aircraft, refl, channel_matrix(cfg, aircraft, refl)
 
 
 def test_channel_matrix_shape_and_pure_los_columns():
     cfg = ScenarioConfig(k_aircraft=6, m_antennas=4)
-    geom, refl, chan = _build(cfg)
+    _, _, chan = _build(cfg)
     assert chan.h.shape == (4, 6)
     assert np.isfinite(chan.h).all()
     for k in range(6):
@@ -193,12 +194,11 @@ def test_channel_matrix_shape_and_pure_los_columns():
 def test_channel_single_user_single_antenna_amplitude():
     cfg = ScenarioConfig(k_aircraft=1, m_antennas=1, coverage_fraction=0.001)
     for seed in range(6):
-        geom, refl, chan = _build(cfg, seed=seed, map_seed=seed)
+        aircraft, _, chan = _build(cfg, seed=seed, map_seed=seed)
         if chan.gmp_present[0]:
             continue
-        d = np.linalg.norm(
-            geom.aircraft[0].xyz(geom.earth) - geom.gs.xyz(geom.earth)
-        )
+        earth = EarthModel(cfg.earth_radius_m)
+        d = np.linalg.norm(aircraft[0].xyz(earth) - gs_point(cfg).xyz(earth))
         assert abs(chan.h[0, 0]) == pytest.approx(LAM / (4.0 * math.pi * d), rel=1e-9)
         return
     pytest.fail("no line-of-sight-only realization found")
@@ -231,11 +231,12 @@ def test_channel_matrix_entries_match_ray_oracles():
     # the scalar ray formulas pin every entry of the vectorized assembly, on
     # columns with the ground path and columns without it
     cfg = ScenarioConfig(k_aircraft=8, m_antennas=4)
-    geom, refl, chan = _build(cfg, seed=2, map_seed=3)
+    aircraft, _, chan = _build(cfg, seed=2, map_seed=3)
     assert chan.gmp_present.any() and not chan.gmp_present.all()
-    elems = element_positions_xyz(geom, ArrayLayout.upra(cfg.m_antennas, LAM))
-    acs = np.array([p.xyz(geom.earth) for p in geom.aircraft])
-    spec = specular_reflection_points_batch(geom.gs, acs, geom.earth)
+    earth, gs = EarthModel(cfg.earth_radius_m), gs_point(cfg)
+    elems = element_positions_xyz(gs, earth, upra_element_positions(cfg.m_antennas, LAM))
+    acs = np.array([p.xyz(earth) for p in aircraft])
+    spec = specular_reflection_points_batch(gs, acs, earth)
     for m in range(cfg.m_antennas):
         for k in range(cfg.k_aircraft):
             los = los_channel(elems[m], acs[k], LAM)
@@ -250,3 +251,30 @@ def test_channel_matrix_entries_match_ray_oracles():
 def test_wavelength_and_snr_from_budget():
     assert BUDGET.wavelength_m == pytest.approx(SPEED_OF_LIGHT / 987e6, rel=1e-15)
     assert BUDGET.snr_linear == pytest.approx(10.0**14.8, rel=1e-12)
+
+
+def test_channel_reads_ground_carrier_and_array_from_config():
+    # non-default values, so a build that falls back to any default is caught
+    cfg = ScenarioConfig(
+        k_aircraft=8, m_antennas=9, carrier_hz=1.1e9, ground=GroundParams(eps_r=15.0, sigma_sm=0.01)
+    )
+    chan = build_trial_channel(cfg, 0)
+    assert chan.h.shape == (9, 8)
+    assert chan.gmp_present.any()
+
+    lam = SPEED_OF_LIGHT / cfg.carrier_hz
+    earth, gs = EarthModel(cfg.earth_radius_m), gs_point(cfg)
+    aircraft, _ = build_trial_geometry(cfg, 0)
+    acs = np.array([p.xyz(earth) for p in aircraft])
+    spec = specular_reflection_points_batch(gs, acs, earth)
+    psi = grazing_angle(spec, gs.xyz(earth)[None, :])
+    for k in np.flatnonzero(chan.gmp_present):
+        rho = vertical_reflection_coefficient(psi[k], cfg.ground, cfg.carrier_hz)
+        assert chan.rho_v[k] == pytest.approx(rho, rel=1e-12)
+        assert abs(rho - vertical_reflection_coefficient(psi[k], GroundParams(), cfg.carrier_hz)) > 1e-3
+
+    elems = element_positions_xyz(gs, earth, upra_element_positions(9, lam))
+    for m in range(9):
+        for k in range(8):
+            los = los_channel(elems[m], acs[k], lam)
+            assert abs(chan.h_los[m, k] - los) <= 1e-8 * abs(los)

@@ -11,7 +11,7 @@ import noma_outage
 from helpers import config_dict
 from noma_outage import decoders
 from noma_outage.cli import main, rows_to_csv
-from noma_outage.config import ConfigError, ScenarioConfig, config_from_dict, load_config
+from noma_outage.config import DEFAULT_ALGORITHMS, ConfigError, ScenarioConfig, config_from_dict, load_config
 from noma_outage.montecarlo import run_sweep
 from noma_outage.validation import run_validation
 
@@ -113,6 +113,11 @@ def test_sweep_rejects_bad_config(tmp_path):
         ("k_list", [4, 8.5]),
         ("freeze_reflector_map", 1),
         ("ground", {"eps_r": "3"}),
+        # NaN and infinity, at the top level, in a list and in a nested block
+        ("tx_power_dbm", float("inf")),
+        ("cell_radius_m", float("nan")),
+        ("r_g_list", [2.0, float("nan")]),
+        ("ground", {"sigma_sm": float("-inf")}),
     ],
 )
 def test_sweep_rejects_ill_typed_or_negative_config(tmp_path, capsys, field, value):
@@ -260,6 +265,14 @@ def test_validate_rejects_negative_seed(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
+def test_validate_rejects_non_finite_epsilon(capsys, epsilon):
+    assert main(["validate", "--instances", "5", f"--epsilon={epsilon}"]) == 1
+    captured = capsys.readouterr()
+    assert "config error: --epsilon must be finite" in captured.err
+    assert captured.out == ""
+
+
 def test_validate_runs_gsa_once_per_instance(monkeypatch):
     # GSA runs in the one pass of the nested decoders, with SSA, LGSA:2 and LGSA:4
     calls = []
@@ -308,3 +321,36 @@ def test_import_pins_blas_threads_unless_set(user_value):
     code = "import os, noma_outage; print(*(os.environ[v] for v in %r))" % (BLAS_THREAD_VARS,)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == [user_value or "1", "1", "1"]
+
+
+# ---------------------------------------------------------------------------
+# traced launch: the benchmark's tracer wraps functions by module and name
+# ---------------------------------------------------------------------------
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _traced_launch(tmp_path, *cli_args):
+    res, trace = tmp_path / "res.json", tmp_path / "trace.json"
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    subprocess.run(
+        [sys.executable, "perfbench/launch.py", str(res), str(trace), "-", *cli_args],
+        cwd=REPO, env=env, check=True, timeout=300,
+    )
+    return json.loads(res.read_text())["rc"], {span[0] for span in json.loads(trace.read_text())["spans"]}
+
+
+def test_traced_sweep_records_every_layer(tmp_path):
+    rc, names = _traced_launch(
+        tmp_path, "sweep", "--preset", "paper-fig5", "--trials", "1", "--out", str(tmp_path / "x.csv")
+    )
+    assert rc == 0
+    want = {"montecarlo.build_trial_channel", "geometry.placement", "geometry.map",
+            "geometry.specular", "channel.matrix", "decoders.vblast_order"}
+    assert want | {"alg:" + tok for tok in DEFAULT_ALGORITHMS} <= names
+
+
+def test_traced_validate_records_oracles(tmp_path):
+    rc, names = _traced_launch(tmp_path, "validate", "--instances", "5")
+    assert rc == 0
+    assert {"validation.run_validation", "decoders.oracle_max_set", "decoders.oracle_best_sic"} <= names

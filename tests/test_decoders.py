@@ -644,6 +644,17 @@ def test_elimination_loop_matches_cholesky_loop(loop, seed, m, k, eps, outage_ma
     assert fast == _run_loop(loop, False, h, r, gamma, eps, outage0, order)
 
 
+@pytest.mark.parametrize("v", [2, 3, 5, 17, 40])
+def test_batched_log2det_matches_slogdet(v):
+    # 40 aircraft at about 46 bits each: det W[C, C] of the whole set is
+    # below 2^-1074 and underflows, its log does not
+    rng = np.random.default_rng(v)
+    w = RateEvaluator(random_channel(rng, 64, 40), 1e12).whitened_inverse(range(40))
+    pos = np.array([np.sort(rng.choice(40, v, replace=False)) for _ in range(50)])
+    want = [np.linalg.slogdet(w[np.ix_(c, c)])[1] / np.log(2.0) for c in pos]
+    np.testing.assert_allclose(decoders._batched_submatrix_log2det(w, pos), want, rtol=1e-12, atol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # polymatroid certificates against brute force
 # ---------------------------------------------------------------------------

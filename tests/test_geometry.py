@@ -260,11 +260,10 @@ def test_map_rectangles_do_not_overlap_and_sides_in_range():
     assert not overlap.any()
 
 
-def test_map_deterministic_and_seed_recorded():
+def test_map_deterministic():
     cfg = ScenarioConfig()
     a = build_reflector_map(cfg, seed=5)
     b = build_reflector_map(cfg, seed=5)
-    assert a.seed == 5
     assert np.array_equal(a.rects, b.rects)
     assert a.area_in_disc_m2 == b.area_in_disc_m2
 
@@ -339,27 +338,29 @@ def test_row_extension_matches_reference(seed, fill):
     assert new.rng.random() == ref.rng.random()  # the same draws consumed
 
 
-def _covers(refl, pt):
-    """Membership of a ground point, through its local projection."""
-    xy = local_from_units(refl.center, refl.earth, pt.unit())
+def _covers(refl, cfg, pt):
+    """Membership of a ground point, through its projection about the
+    station's ground point."""
+    xy = local_from_units(gs_point(cfg), EarthModel(cfg.earth_radius_m), pt.unit())
     return bool(refl.covers_local(xy[:, 0], xy[:, 1])[0])
 
 
 def test_is_reflective_rectangle_center_and_outside():
     cfg = ScenarioConfig()
     refl = build_reflector_map(cfg, seed=21)
+    earth = EarthModel(cfg.earth_radius_m)
     x0, y0, x1, y1 = refl.rects[0]
     cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
-    inside = point_from_local(refl.center, refl.earth, cx, cy, 0.0)
-    assert _covers(refl, inside)
+    inside = point_from_local(gs_point(cfg), earth, cx, cy, 0.0)
+    assert _covers(refl, cfg, inside)
 
     # a point in a gap: scan along x at the first rectangle's y until outside all
     probe_x = np.linspace(-cfg.cell_radius_m, cfg.cell_radius_m, 4001)
     hits = refl.covers_local(probe_x, np.full_like(probe_x, cy))
     assert not hits.all()
     free_x = probe_x[~hits][0]
-    outside = point_from_local(refl.center, refl.earth, float(free_x), cy, 0.0)
-    assert not _covers(refl, outside)
+    outside = point_from_local(gs_point(cfg), earth, float(free_x), cy, 0.0)
+    assert not _covers(refl, cfg, outside)
 
 
 def _edge_probes(rects):
@@ -375,10 +376,7 @@ def _edge_probes(rects):
 
 
 def _map_of(rects):
-    return ReflectorMap(
-        rects=np.asarray(rects, float).reshape(-1, 4), coverage_fraction=0.5, seed=0,
-        center=GeoPoint(0.0, 0.0, 0.0), earth=EARTH, area_in_disc_m2=0.0,
-    )
+    return ReflectorMap(rects=np.asarray(rects, float).reshape(-1, 4), area_in_disc_m2=0.0)
 
 
 @st.composite
