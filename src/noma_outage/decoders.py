@@ -84,11 +84,13 @@ def _eliminate(a: np.ndarray, p: int) -> None:
 
 def _decide(need, fast, eps, reference) -> np.ndarray:
     """need <= R + eps for each candidate, R its elimination rate; within TIE
-    of the threshold, R is reference(j), the Cholesky rate of candidate j."""
+    of the threshold, R is reference(j), the Cholesky rate of candidate j.
+    ``need`` may stack rows of candidates over ``fast``; j is then the index
+    into the flattened stack."""
     margin = need - fast - eps
     ok = margin <= 0.0
-    for j in (np.abs(margin) <= TIE).nonzero()[0]:
-        ok[j] = need[j] <= reference(j) + eps
+    for j in (np.abs(margin) <= TIE).ravel().nonzero()[0]:
+        ok.flat[j] = need.flat[j] <= reference(j) + eps
     return ok
 
 
@@ -413,28 +415,88 @@ def gsa(h, r, gamma, eps=0.0) -> DecodeOutcome:
 # Fixed-order decoding and ordering baselines
 # ---------------------------------------------------------------------------
 
+def _split(ok, want) -> dict:
+    """Rows of a decision stack by the first position whose decision is
+    ``want``; rows with none are under None."""
+    groups: dict = {}
+    for i, j in enumerate((ok if want else ~ok).argmax(axis=1).tolist()):
+        groups.setdefault(j if ok[i, j] == want else None, []).append(i)
+    return groups
+
+
+def walk_order(ev: RateEvaluator, rows, order: Sequence[int], eps=0.0) -> list[tuple[tuple[int, ...], int]]:
+    """Walk a fixed decoding order once for a stack of rate rows.  Per row:
+    the aircraft it decodes, in decode order, and the mults a walk of that
+    row alone is charged.  A failed aircraft stays as interference for
+    everyone after it (it is never cancelled).
+
+    Rows that have decoded the same prefix share one W, kept in order
+    coordinates and cut to the positions not yet tried, and a group of rows
+    splits only where its rows' decisions differ.  A row's walk alternates
+    two kinds of run, each decided in one step.  Up to its next decode a
+    row fails against one set of interferers, so W's diagonal decides that
+    run.  From a decode on, the run of decodes is decided on the chain rates
+    of the Cholesky factor of W from there, the rate of each position when
+    everything before it in the run is decoded; the Schur complement of the
+    decoded run is the next W.  Each position is tried once per row, against
+    everyone that row has not decoded, and charged as such."""
+    k = ev.k
+    if sorted(order) != list(range(k)):
+        raise ValueError("order must be a permutation of all aircraft")
+    order = np.asarray(order, dtype=np.intp)
+    rows = np.asarray(rows, dtype=float)
+    everyone = frozenset(range(k))
+    out: list = [None] * len(rows)
+
+    def reference(decoded, x):
+        return ev.group_rate((x,), everyone.difference(decoded, (x,)))
+
+    def charged(t, n):  # n positions tried against t, t - 1, ... interferers
+        return sum(eval_cost(ev.m, 1, t - i) for i in range(n))
+
+    # (rows of the group, their rates on the positions left, W on those
+    # positions, aircraft decoded so far, mults so far); W's Hermitian part,
+    # since a Cholesky factor reads one triangle
+    w = ev.whitened_inverse(range(k))[order[:, None], order]
+    stack = [(list(range(len(rows))), rows[:, order], (w + w.conj().T) / 2.0, (), 0)]
+    while stack:
+        idx, need, w, done, mults = stack.pop()
+        n, t = len(w), k - 1 - len(done)
+        pos = order[k - n :].tolist()
+        ok = _decide(need, -np.log2(w.diagonal().real), eps, lambda j: reference(done, pos[j % n]))
+        for f, sel in _split(ok, True).items():  # failures up to a decode at f
+            base = mults + (n if f is None else f + 1) * eval_cost(ev.m, 1, t)
+            if f is None or f + 1 == n:  # no position left
+                for i in sel:
+                    out[idx[i]] = (done if f is None else done + (pos[f],), base)
+                continue
+            run, left = pos[f:], n - f - 1
+            chol = np.linalg.cholesky(w[f:, f:])
+            run_need = need[sel, f + 1 :] if len(sel) < len(idx) else need[:, f + 1 :]
+            ok = _decide(run_need, -2.0 * np.log2(chol.diagonal().real[1:]), eps,
+                         lambda j: reference(done + tuple(run[: 1 + j % left]), run[1 + j % left]))
+            for j, sel2 in _split(ok, False).items():  # decodes up to a failure at run[j + 1]
+                if j is None:
+                    child = (done + tuple(run), base + charged(t - 1, left))
+                else:
+                    child = (done + tuple(run[: j + 1]), base + charged(t - 1, j + 1))
+                rows2 = [idx[sel[i]] for i in sel2]
+                if j is None or j + 1 == left:  # no position left
+                    for r in rows2:
+                        out[r] = child
+                    continue
+                x = chol[j + 2 :, j + 1 :]  # W after the failure: the decoded run pivoted out
+                stack.append((rows2, run_need[sel2, j + 1 :], x @ x.conj().T, *child))
+    return out
+
+
 def decode_with_order(h, r, order: Sequence[int], gamma, counter=None, eps=0.0) -> frozenset:
     """Walk a fixed decoding order; a failed aircraft stays as interference
-    for everyone after it (it is never cancelled)."""
-    ev = _as_evaluator(h, gamma)
-    rr = np.asarray(r, dtype=float)
-    order = list(order)
-    if sorted(order) != list(range(ev.k)):
-        raise ValueError("order must be a permutation of all aircraft")
-    # everyone not yet decoded interferes; a decoded aircraft leaves W
-    w = ev.whitened_inverse(range(ev.k)).copy()
-    live = set(range(ev.k))
-    rest = np.asarray(order, dtype=np.intp)
-    while rest.size:
-        fast = -np.log2(w[rest, rest].real)
-        j = _first(True, ev, counter, 1, len(live) - 1, rr[rest], fast, eps,
-                   lambda i: ev.group_rate((int(rest[i]),), live - {int(rest[i])}))
-        if j is None:
-            break
-        live.discard(int(rest[j]))
-        _eliminate(w, int(rest[j]))
-        rest = rest[j + 1 :]
-    return frozenset(range(ev.k)) - live
+    for everyone after it (it is never cancelled).  One row of ``walk_order``."""
+    (done, mults), = walk_order(_as_evaluator(h, gamma), [r], order, eps)
+    if counter is not None:
+        counter.add(mults)
+    return frozenset(done)
 
 
 def vblast_order(h, gamma, counter=None) -> tuple[int, ...]:

@@ -12,13 +12,15 @@ A sweep evaluates every trial at a list of sweep points (K, r_G).  Aircraft
 and variable rates are drawn one after another from their streams, so the
 channel and rates of K aircraft are the first K columns and entries of the
 largest K's; each trial builds one channel, at the largest K, and every point
-reads a prefix of it.
+reads a prefix of it.  Consecutive points with the same K share an evaluator,
+and a fixed-order SIC baseline walks each of its orders once for all of them.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import takewhile
 from math import sqrt
 from typing import Iterable
 
@@ -108,14 +110,30 @@ def _random_order(cfg: ScenarioConfig, trial_index: int, k: int) -> tuple[int, .
     return tuple(int(i) for i in rng.permutation(k))
 
 
+def _fixed_order(ev, rates, order, eps) -> tuple[tuple[int, ...], int]:
+    """(aircraft decoded, in decode order; mults) of a fixed-order SIC walk.
+    One walk per (evaluator, order) serves every rate row the evaluator
+    carries, or the rates it is first run on when it carries none; other
+    rates are walked alone."""
+    rr = np.asarray(rates, dtype=float)
+    walks = ev.walks.get((order, eps))
+    if walks is None:
+        rows = rr[None, :] if ev.rate_rows is None else ev.rate_rows
+        walked = decoders.walk_order(ev, rows, order, eps)
+        walks = ev.walks[order, eps] = {row.tobytes(): res for row, res in zip(rows, walked)}
+    hit = walks.get(rr.tobytes())
+    return hit if hit is not None else decoders.walk_order(ev, rr[None, :], order, eps)[0]
+
+
 def _one_at_a_time(name, ev, h, rates, gamma, random_order, eps) -> DecodeOutcome:
     """ISU or a fixed-order SIC baseline; the plan lists the decoded aircraft
     one by one, in decode order (index order for ISU)."""
-    counter = MultCounter()
     if name == "ISU":
-        decoded = decoders.isu_set(ev, rates, gamma, counter=counter, eps=eps)
-        order = sorted(decoded)
+        counter = MultCounter()
+        done = tuple(sorted(decoders.isu_set(ev, rates, gamma, counter=counter, eps=eps)))
+        mults = counter.total
     else:
+        mults = 0
         if name == "SIC_RANDOM":
             order = random_order
         elif name == "SIC_CGTR":
@@ -127,10 +145,10 @@ def _one_at_a_time(name, ev, h, rates, gamma, random_order, eps) -> DecodeOutcom
                 found = MultCounter()
                 ev.vblast = (decoders.vblast_order(ev, gamma, counter=found), found.total)
             order, mults = ev.vblast
-            counter.add(mults)
-        decoded = decoders.decode_with_order(ev, rates, order, gamma, counter=counter, eps=eps)
-    plan = tuple((i,) for i in order if i in decoded)
-    return DecodeOutcome(decoded, frozenset(range(ev.k)) - decoded, plan, counter.total)
+        done, walked = _fixed_order(ev, rates, tuple(order), eps)
+        mults += walked
+    decoded = frozenset(done)
+    return DecodeOutcome(decoded, frozenset(range(ev.k)) - decoded, tuple((i,) for i in done), mults)
 
 
 def run_algorithms(
@@ -198,15 +216,18 @@ def _sweep_trial(args) -> list[dict[str, tuple[int, int]]]:
     h_max = build_trial_channel(cfg_max, trial_index).h
     gamma = LinkBudget.from_config(cfg).snr_linear
     drawn = draw_variable_rates(cfg_max, trial_index) if cfg.rate_mode == VARIABLE_RATE else None
+    rates = [np.full(k, r_g) if drawn is None else drawn[:k] for k, r_g in points]
     ev = None
     out = []
-    for k, r_g in points:
+    for j, (k, _) in enumerate(points):
         h = h_max[:, :k]
         if ev is None or ev.k != k:
             ev = RateEvaluator(h, gamma)
+            # the points up to the next change of K share it, and so its
+            # fixed-order walks: every r_G point in equal-rate mode
+            ev.rate_rows = np.array(list(takewhile(lambda row: len(row) == k, rates[j:])))
             rand_order = _random_order(cfg, trial_index, k)
-        rates = np.full(k, r_g) if drawn is None else drawn[:k]
-        res = run_algorithms(ev, h, rates, gamma, cfg.algorithms, rand_order)
+        res = run_algorithms(ev, h, rates[j], gamma, cfg.algorithms, rand_order)
         out.append({tok: (o.n_decoded, o.mult_count) for tok, o in res.items()})
     return out
 

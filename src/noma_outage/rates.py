@@ -18,7 +18,8 @@ exactly.  This is the reference path.  The decoders read the same rates off
 one eliminated K x K array per loop (see ``decoders``): the Schur complement
 of I + g H^H H on the outage set for the prunes, and for every other loop a
 copy of the full-set inverse ``RateEvaluator.whitened_inverse(range(K))``,
-from which each decoded aircraft is pivoted out.  Any decision within
+from which each decoded aircraft is pivoted out (the fixed-order walk
+factors it instead, once per run of decodes).  Any decision within
 ``decoders.TIE`` of its threshold is taken again on ``group_rate``.
 
 The multiplication counter follows the reference cost convention: forming a
@@ -77,6 +78,11 @@ class RateEvaluator:
         #: (V-BLAST order, mults that found it) on this channel, filled by
         #: the first SIC_VBLAST run: the order does not depend on the rates.
         self.vblast: tuple[tuple[int, ...], int] | None = None
+        #: Rate rows of the sweep points that share this evaluator, stacked,
+        #: and one fixed-order SIC walk over them per (order, eps), filled by
+        #: the first baseline run on that order (see ``montecarlo``).
+        self.rate_rows: np.ndarray | None = None
+        self.walks: dict[tuple, dict[bytes, tuple[tuple[int, ...], int]]] = {}
 
     def capacity(self, ids: Sequence[int]) -> float:
         """C(A) = log2 det(I + g H_A^H H_A) for a set of column indices."""

@@ -21,6 +21,7 @@ from noma_outage.decoders import (
     oracle_max_set,
     ssa,
     vblast_order,
+    walk_order,
 )
 from noma_outage.channel import LinkBudget
 from noma_outage.cli import PRESETS
@@ -342,6 +343,62 @@ def test_decode_with_order_validates_permutation():
     h = random_channel(np.random.default_rng(11), 2, 3)
     with pytest.raises(ValueError):
         decode_with_order(h, np.ones(3), (0, 1), 1.0)
+
+
+def _tie_at(ev, row, order, p, eps, ulp):
+    """Set row's rate at order position p exactly at, or one ulp either side
+    of, the threshold that position meets when the row is walked alone."""
+    x = order[p]
+    before = helpers.ref_decode_with_order(ev, row, order, None, eps) & set(order[:p])
+    edge = ev.group_rate((x,), set(range(ev.k)) - before - {x}) + eps
+    row[x] = edge if ulp == 0 else np.nextafter(edge, ulp * np.inf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 15),
+    eps=st.sampled_from([0.0, -0.1, 0.05]),
+    ties=st.lists(st.tuples(st.integers(0, 14), st.integers(0, 6), st.sampled_from([-1, 0, 1])), max_size=4),
+)
+# every row an exact tie at the first position, against everyone else
+@example(seed=1, n_rows=3, eps=0.0, ties=[(0, 0, 0), (1, 0, 0), (2, 0, 0)])
+def test_walk_order_matches_reference_row_by_row(seed, n_rows, eps, ties):
+    rng = np.random.default_rng(seed)
+    h, r, gamma = random_instance(rng, k_max=7)
+    k = h.shape[1]
+    order = tuple(int(i) for i in rng.permutation(k))
+    # equal-rate rows share decoded prefixes; perturbed copies of r share
+    # some and split off where a perturbed rate changes a decision
+    single = np.log2(1.0 + gamma * np.sum(np.abs(h) ** 2, axis=0))
+    levels = np.sort(rng.uniform(0.05, 1.0, size=n_rows)) * single.max()
+    perturbed = r * np.where(rng.random((n_rows, k)) < 0.3, rng.uniform(0.7, 1.3, size=(n_rows, k)), 1.0)
+    rows = np.where(rng.random((n_rows, 1)) < 0.5, levels[:, None] * np.ones(k), perturbed)
+    ev = RateEvaluator(h, gamma)
+    for i, p, ulp in ties:
+        _tie_at(ev, rows[i % n_rows], order, p % k, eps, ulp)
+    walked = walk_order(RateEvaluator(h, gamma), rows, order, eps)
+    assert len(walked) == n_rows
+    for row, (done, mults) in zip(rows, walked):
+        counter = MultCounter()
+        ref = helpers.ref_decode_with_order(RateEvaluator(h, gamma), row, order, counter, eps)
+        assert done == tuple(i for i in order if i in ref)
+        assert mults == counter.total
+        assert walk_order(RateEvaluator(h, gamma), [row], order, eps) == [(done, mults)]
+
+
+def test_fixed_orders_decode_inside_ssa():
+    # SSA's set is the largest any SIC order decodes, whatever the order
+    rng = np.random.default_rng(5)
+    for trial in range(300):
+        h, r, gamma = random_instance(rng, k_max=7)
+        k = h.shape[1]
+        eps = (0.0, -0.1, 0.05)[trial % 3]
+        tokens = ("SIC_RANDOM", "SIC_CGTR", "SIC_VBLAST", "SSA")
+        order = tuple(int(i) for i in rng.permutation(k))
+        res = run_algorithms(RateEvaluator(h, gamma), h, r, gamma, tokens, order, eps)
+        for token in tokens[:3]:
+            assert res[token].decoded <= res["SSA"].decoded, (trial, token)
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 from noma_outage import decoders, montecarlo
+from noma_outage.channel import LinkBudget
 from noma_outage.config import ConfigError, ScenarioConfig
 from noma_outage.montecarlo import (
     OutageEstimate,
     build_trial_channel,
     build_trial_geometry,
     draw_variable_rates,
+    run_algorithms,
     run_sweep,
     run_trial,
 )
+from noma_outage.rates import RateEvaluator
 
 SMALL = ScenarioConfig(
     k_aircraft=4,
@@ -172,6 +175,49 @@ def test_equal_rate_sweep_finds_vblast_order_once_per_trial(monkeypatch):
         outcomes = [run_trial(cfg, i, row.r_g)[row.algorithm] for i in range(cfg.trials)]
         assert row.estimate.decoded_total == sum(o.n_decoded for o in outcomes), row
         assert row.estimate.mult_total == sum(o.mult_count for o in outcomes), row
+
+
+def test_equal_rate_sweep_walks_each_order_once_per_trial(monkeypatch):
+    walks = []
+    walk_order = decoders.walk_order
+
+    def counted_walk_order(ev, rows, order, eps=0.0):
+        walks.append((ev, order, len(rows)))
+        return walk_order(ev, rows, order, eps)
+
+    monkeypatch.setattr(decoders, "walk_order", counted_walk_order)
+    cfg = SMALL.replace(algorithms=("SIC_RANDOM", "SIC_CGTR", "SIC_VBLAST"), r_g_list=(1.0, 3.0, 5.0, 7.0), trials=4)
+    rows = run_sweep(cfg)
+    # one walk per (trial, order), over every r_G row: three per trial, fewer
+    # where two baselines' orders coincide
+    orders = {}
+    for ev, order, n_rows in walks:
+        assert n_rows == len(cfg.r_g_list)
+        orders.setdefault(ev, []).append(order)
+    assert len(orders) == cfg.trials
+    for i, (ev, walked) in enumerate(orders.items()):
+        h = build_trial_channel(cfg, i).h
+        used = {montecarlo._random_order(cfg, i, 4), ev.vblast[0]}
+        used.update(decoders.cgtr_order(h, np.full(4, r_g)) for r_g in cfg.r_g_list)
+        assert sorted(walked) == sorted(used)
+    walks.clear()
+    for row in rows:
+        outcomes = [run_trial(cfg, i, row.r_g)[row.algorithm] for i in range(cfg.trials)]
+        assert row.estimate.decoded_total == sum(o.n_decoded for o in outcomes), row
+        assert row.estimate.mult_total == sum(o.mult_count for o in outcomes), row
+    assert {n_rows for _, _, n_rows in walks} == {1}  # a lone trial walks one row
+
+
+def test_fixed_order_rates_outside_the_rows_walk_alone():
+    cfg = SMALL.replace(algorithms=("SIC_RANDOM", "SIC_CGTR", "SIC_VBLAST"))
+    h = build_trial_channel(cfg, 0).h
+    gamma = LinkBudget.from_config(cfg).snr_linear
+    order = tuple(range(cfg.k_aircraft))
+    ev = RateEvaluator(h, gamma)
+    ev.rate_rows = np.array([np.full(4, 2.0), np.full(4, 6.0)])
+    for rates in (np.full(4, 6.0), np.full(4, 4.0), np.array([2.0, 6.0, 2.0, 6.0])):
+        shared = run_algorithms(ev, h, rates, gamma, cfg.algorithms, order)
+        assert shared == run_algorithms(RateEvaluator(h, gamma), h, rates, gamma, cfg.algorithms, order)
 
 
 def test_frozen_reflector_map_shared_across_trials():
