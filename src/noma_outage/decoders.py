@@ -528,19 +528,31 @@ def cgtr_order(h, r) -> tuple[int, ...]:
     rr = np.asarray(r, dtype=float)
     gains = np.sum(np.abs(hm) ** 2, axis=0)
     keys = gains * (1.0 + 1.0 / (2.0**rr + 1.0))
-    return tuple(sorted(range(hm.shape[1]), key=lambda k: (-keys[k], k)))
+    return tuple(np.argsort(-keys, kind="stable").tolist())
+
+
+def isu_rows(ev: RateEvaluator, rows, eps=0.0) -> list[tuple[tuple[int, ...], int]]:
+    """Independent single-user decoders for a stack of rate rows: everyone
+    else is noise.  Per row: the aircraft it decodes, in index order, and
+    the mults a run on that row alone is charged.  ISU's rates depend only
+    on the channel, so one decision stack serves every row."""
+    rows = np.asarray(rows, dtype=float)
+    k = ev.k
+    everyone = set(range(k))
+    w = ev.whitened_inverse(everyone)
+    ok = _decide(rows, -np.log2(np.diagonal(w).real), eps,
+                 lambda j: ev.group_rate((int(j) % k,), everyone - {int(j) % k}))
+    mults = k * eval_cost(ev.m, 1, k - 1)
+    return [(tuple(np.flatnonzero(row).tolist()), mults) for row in ok]
 
 
 def isu_set(h, r, gamma, counter=None, eps=0.0) -> frozenset:
-    """Independent single-user decoders: everyone else is noise."""
-    ev = _as_evaluator(h, gamma)
-    rr = np.asarray(r, dtype=float)
-    everyone = set(range(ev.k))
-    w = ev.whitened_inverse(everyone)
-    ok = _decide(rr, -np.log2(np.diagonal(w).real), eps,
-                 lambda i: ev.group_rate((int(i),), everyone - {int(i)}))
-    _charge(ev, counter, ev.k, 1, ev.k - 1)
-    return frozenset(np.flatnonzero(ok).tolist())
+    """Independent single-user decoders: everyone else is noise.  One row of
+    ``isu_rows``."""
+    (done, mults), = isu_rows(_as_evaluator(h, gamma), [r], eps)
+    if counter is not None:
+        counter.add(mults)
+    return frozenset(done)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,14 @@ from .config import ScenarioConfig
 #: Attempts per aircraft before giving up on the separation constraint.
 MAX_PLACEMENT_ATTEMPTS = 10_000
 
-#: Bisection steps on the arc parameter in [0, 1]; 60 halvings leave a
-#: bracket below 1e-18, far past the 1 mm path-length tolerance.
-_BISECT_ITERS = 60
+#: Specular search on the arc angle: bisection steps that cut the bracket
+#: to 1/256 of the arc, then Illinois (false-position) steps.  False
+#: position from the whole arc converges slowly, as the root lies near the
+#: station's end.  For aircraft at 1-13 km over the cell and beyond it, four
+#: Illinois steps already reach the solve's rounding floor (a few 1e-9 m);
+#: two more are margin.
+_BISECT_STEPS = 8
+_ILLINOIS_STEPS = 6
 
 #: Row fill of the fullest reflector-map layout, and the number of layouts
 #: tried before a coverage target counts as unreachable.
@@ -171,49 +176,78 @@ def specular_reflection_points_batch(
     For each aircraft the point on the sphere surface minimizing the total
     path station -> surface -> aircraft lies on the great-circle arc between
     the two ground projections, where the station-side and aircraft-side
-    grazing angles are equal.  Their difference falls monotonically along the
-    arc (positive under the station, negative under the aircraft), so the
-    point is found by bisection on the arc parameter.  An aircraft directly
-    above the station maps to the station's ground point.  Returns an (n, 3)
-    array of Cartesian surface points.
+    grazing angles are equal.  The station, the aircraft and the Earth's
+    centre span one plane, so the search runs on the arc angle theta in
+    [0, omega] from the station's ground point.  A point at height h and
+    radius r = R + h, seen from the surface at arc angle x, has grazing
+    angle psi with
+
+        sin psi = (h - 2 r sin^2(x/2)) / sqrt(h^2 + 4 r R sin^2(x/2)),
+
+    and the search compares 1 - sin psi of the two sides, which is formed
+    without cancellation even where both sines round to 1 (an aircraft
+    nearly overhead).  The gap falls monotonically along the arc (positive
+    under the station, negative under the aircraft); a few bisection steps
+    narrow the bracket, Illinois steps finish inside it, and the slerp
+    between the two ground projections maps theta back to 3-D.  Heights
+    must be positive.  An aircraft directly above the station maps to the
+    station's ground point.  Returns an (n, 3) array of Cartesian surface
+    points.
     """
     re = earth.radius_m
     g = gs.xyz(earth)
     a = np.atleast_2d(np.asarray(aircraft_xyz, dtype=float))
-    u1 = g / np.linalg.norm(g)
-    u2 = a / np.linalg.norm(a, axis=1, keepdims=True)
+    rg = np.linalg.norm(g)
+    ra = np.linalg.norm(a, axis=1)
+    u1 = g / rg
+    u2 = a / ra[:, None]
     cosw = np.clip(u2 @ u1, -1.0, 1.0)
     sinw = np.linalg.norm(np.cross(np.broadcast_to(u1, u2.shape), u2), axis=1)
     omega = np.arctan2(sinw, cosw)  # stable down to tiny angular separations
     degenerate = sinw < 1e-15
+    half = 0.5 * omega  # the search runs on x = theta / 2 in [0, omega / 2]
 
-    def surface(t: np.ndarray) -> np.ndarray:
-        # Spherical interpolation between the two ground projections.
-        s = np.where(degenerate, 1.0, sinw)
-        w1 = np.sin((1.0 - t) * omega) / s
-        w2 = np.sin(t * omega) / s
-        u = w1[:, None] * u1[None, :] + w2[:, None] * u2
-        u[degenerate] = u1
-        return re * u
+    def side(r):  # (h, h^2, 4 r R, 2 r) of a point at radius r = R + h
+        h = r - re
+        return h, h * h, 4.0 * r * re, 2.0 * r
 
-    def grazing_gap(t: np.ndarray) -> np.ndarray:
-        x = surface(t)
-        n = x / re
-        to_g = g - x
-        to_a = a - x
-        s1 = np.sum(to_g * n, axis=1) / np.linalg.norm(to_g, axis=1)
-        s2 = np.sum(to_a * n, axis=1) / np.linalg.norm(to_a, axis=1)
-        return np.arcsin(np.clip(s1, -1, 1)) - np.arcsin(np.clip(s2, -1, 1))
+    station, aircraft = side(rg), side(ra)
 
-    blo = np.zeros(len(a))
-    bhi = np.ones(len(a))
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (blo + bhi)
-        gm = grazing_gap(mid)
-        pos = gm > 0
-        blo = np.where(pos, mid, blo)
-        bhi = np.where(pos, bhi, mid)
-    return surface(0.5 * (blo + bhi))
+    def drop(x, h, hh, c, r2):
+        # 1 - sin psi = 2 r s (1 + 2 R / (q + h)) / q, s = sin^2 x, q = sqrt(h^2 + 4 r R s)
+        s = np.sin(x) ** 2
+        q = np.sqrt(hh + c * s)
+        return r2 * s * (1.0 + 2.0 * re / (q + h)) / q
+
+    def grazing_gap(x):  # sin psi_station - sin psi_aircraft
+        return drop(half - x, *aircraft) - drop(x, *station)
+
+    def false_position(lo, flo, hi, fhi):
+        # flo > 0 >= fhi, except on a degenerate arc, where both are 0
+        den = flo - fhi
+        ok = den > 0.0
+        return lo + (hi - lo) * np.where(ok, flo / np.where(ok, den, 1.0), 0.5)
+
+    # at x = 0 the station side's drop is 0, at x = omega / 2 the aircraft side's
+    lo, flo, hi, fhi = np.zeros(len(a)), drop(half, *aircraft), half, -drop(half, *station)
+    moved_lo = None
+    for i in range(_BISECT_STEPS + _ILLINOIS_STEPS):
+        x = 0.5 * (lo + hi) if i < _BISECT_STEPS else false_position(lo, flo, hi, fhi)
+        fx = grazing_gap(x)
+        pos = fx > 0
+        if i > _BISECT_STEPS:  # Illinois: an end kept twice in a row has its gap value halved
+            fhi = np.where(pos & moved_lo, 0.5 * fhi, fhi)
+            flo = np.where(pos | moved_lo, flo, 0.5 * flo)
+        lo, flo = np.where(pos, x, lo), np.where(pos, fx, flo)
+        hi, fhi = np.where(pos, hi, x), np.where(pos, fhi, fx)
+        moved_lo = pos
+    theta = 2.0 * false_position(lo, flo, hi, fhi)
+
+    # spherical interpolation between the two ground projections
+    s = np.where(degenerate, 1.0, sinw)
+    u = (np.sin(omega - theta) / s)[:, None] * u1[None, :] + (np.sin(theta) / s)[:, None] * u2
+    u[degenerate] = u1
+    return re * u
 
 
 def grazing_angle(surface_xyz: np.ndarray, other_xyz: np.ndarray) -> float | np.ndarray:

@@ -104,34 +104,33 @@ def draw_variable_rates(cfg: ScenarioConfig, trial_index: int) -> np.ndarray:
     return rng.uniform(cfg.r_g, cfg.r_max, size=cfg.k_aircraft)
 
 
+def _permutation(order_ss: np.random.SeedSequence, k: int) -> tuple[int, ...]:
+    return tuple(int(i) for i in np.random.default_rng(order_ss).permutation(k))
+
+
 def _random_order(cfg: ScenarioConfig, trial_index: int, k: int) -> tuple[int, ...]:
-    _, _, _, order_ss = _trial_seeds(cfg, trial_index)
-    rng = np.random.default_rng(order_ss)
-    return tuple(int(i) for i in rng.permutation(k))
+    return _permutation(_trial_seeds(cfg, trial_index)[3], k)
 
 
-def _fixed_order(ev, rates, order, eps) -> tuple[tuple[int, ...], int]:
-    """(aircraft decoded, in decode order; mults) of a fixed-order SIC walk.
-    One walk per (evaluator, order) serves every rate row the evaluator
-    carries, or the rates it is first run on when it carries none; other
-    rates are walked alone."""
+def _per_row(ev, key, rates, solve):
+    """solve(rows)'s result for one rate row.  One solve per (evaluator,
+    key) serves every rate row the evaluator carries, or the rates it is
+    first run on when it carries none; other rates are solved alone."""
     rr = np.asarray(rates, dtype=float)
-    walks = ev.walks.get((order, eps))
-    if walks is None:
+    found = ev.walks.get(key)
+    if found is None:
         rows = rr[None, :] if ev.rate_rows is None else ev.rate_rows
-        walked = decoders.walk_order(ev, rows, order, eps)
-        walks = ev.walks[order, eps] = {row.tobytes(): res for row, res in zip(rows, walked)}
-    hit = walks.get(rr.tobytes())
-    return hit if hit is not None else decoders.walk_order(ev, rr[None, :], order, eps)[0]
+        found = ev.walks[key] = {row.tobytes(): res for row, res in zip(rows, solve(rows))}
+    hit = found.get(rr.tobytes())
+    return hit if hit is not None else solve(rr[None, :])[0]
 
 
 def _one_at_a_time(name, ev, h, rates, gamma, random_order, eps) -> DecodeOutcome:
-    """ISU or a fixed-order SIC baseline; the plan lists the decoded aircraft
-    one by one, in decode order (index order for ISU)."""
+    """ISU or a fixed-order SIC baseline: (aircraft decoded, mults) from one
+    ``isu_rows`` or ``walk_order`` call per evaluator.  The plan lists the
+    decoded aircraft one by one, in decode order (index order for ISU)."""
     if name == "ISU":
-        counter = MultCounter()
-        done = tuple(sorted(decoders.isu_set(ev, rates, gamma, counter=counter, eps=eps)))
-        mults = counter.total
+        done, mults = _per_row(ev, ("ISU", eps), rates, lambda rows: decoders.isu_rows(ev, rows, eps))
     else:
         mults = 0
         if name == "SIC_RANDOM":
@@ -145,7 +144,8 @@ def _one_at_a_time(name, ev, h, rates, gamma, random_order, eps) -> DecodeOutcom
                 found = MultCounter()
                 ev.vblast = (decoders.vblast_order(ev, gamma, counter=found), found.total)
             order, mults = ev.vblast
-        done, walked = _fixed_order(ev, rates, tuple(order), eps)
+        order = tuple(order)
+        done, walked = _per_row(ev, (order, eps), rates, lambda rows: decoders.walk_order(ev, rows, order, eps))
         mults += walked
     decoded = frozenset(done)
     return DecodeOutcome(decoded, frozenset(range(ev.k)) - decoded, tuple((i,) for i in done), mults)
@@ -217,6 +217,7 @@ def _sweep_trial(args) -> list[dict[str, tuple[int, int]]]:
     gamma = LinkBudget.from_config(cfg).snr_linear
     drawn = draw_variable_rates(cfg_max, trial_index) if cfg.rate_mode == VARIABLE_RATE else None
     rates = [np.full(k, r_g) if drawn is None else drawn[:k] for k, r_g in points]
+    order_ss = _trial_seeds(cfg, trial_index)[3]
     ev = None
     out = []
     for j, (k, _) in enumerate(points):
@@ -226,7 +227,7 @@ def _sweep_trial(args) -> list[dict[str, tuple[int, int]]]:
             # the points up to the next change of K share it, and so its
             # fixed-order walks: every r_G point in equal-rate mode
             ev.rate_rows = np.array(list(takewhile(lambda row: len(row) == k, rates[j:])))
-            rand_order = _random_order(cfg, trial_index, k)
+            rand_order = _permutation(order_ss, k)
         res = run_algorithms(ev, h, rates[j], gamma, cfg.algorithms, rand_order)
         out.append({tok: (o.n_decoded, o.mult_count) for tok, o in res.items()})
     return out

@@ -79,8 +79,9 @@ class RateEvaluator:
         #: the first SIC_VBLAST run: the order does not depend on the rates.
         self.vblast: tuple[tuple[int, ...], int] | None = None
         #: Rate rows of the sweep points that share this evaluator, stacked,
-        #: and one fixed-order SIC walk over them per (order, eps), filled by
-        #: the first baseline run on that order (see ``montecarlo``).
+        #: and their results per key, filled by the first run on that key
+        #: (see ``montecarlo``): one fixed-order SIC walk over them per
+        #: (order, eps) and ISU's decisions per ("ISU", eps).
         self.rate_rows: np.ndarray | None = None
         self.walks: dict[tuple, dict[bytes, tuple[tuple[int, ...], int]]] = {}
 

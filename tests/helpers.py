@@ -258,6 +258,50 @@ def ref_build_reflector_map(cfg, seed):
 
 
 # ---------------------------------------------------------------------------
+# Reference specular search: 60 bisection steps on the arc parameter with the
+# grazing angles taken from 3-D points at every step, the search the planar
+# solve in ``geometry.specular_reflection_points_batch`` must agree with.
+# ---------------------------------------------------------------------------
+
+def ref_specular_points(gs, aircraft_xyz, earth):
+    re = earth.radius_m
+    g = gs.xyz(earth)
+    a = np.atleast_2d(np.asarray(aircraft_xyz, dtype=float))
+    u1 = g / np.linalg.norm(g)
+    u2 = a / np.linalg.norm(a, axis=1, keepdims=True)
+    cosw = np.clip(u2 @ u1, -1.0, 1.0)
+    sinw = np.linalg.norm(np.cross(np.broadcast_to(u1, u2.shape), u2), axis=1)
+    omega = np.arctan2(sinw, cosw)
+    degenerate = sinw < 1e-15
+
+    def surface(t):
+        s = np.where(degenerate, 1.0, sinw)
+        w1 = np.sin((1.0 - t) * omega) / s
+        w2 = np.sin(t * omega) / s
+        u = w1[:, None] * u1[None, :] + w2[:, None] * u2
+        u[degenerate] = u1
+        return re * u
+
+    def grazing_gap(t):
+        x = surface(t)
+        n = x / re
+        to_g = g - x
+        to_a = a - x
+        s1 = np.sum(to_g * n, axis=1) / np.linalg.norm(to_g, axis=1)
+        s2 = np.sum(to_a * n, axis=1) / np.linalg.norm(to_a, axis=1)
+        return np.arcsin(np.clip(s1, -1, 1)) - np.arcsin(np.clip(s2, -1, 1))
+
+    blo = np.zeros(len(a))
+    bhi = np.ones(len(a))
+    for _ in range(60):
+        mid = 0.5 * (blo + bhi)
+        pos = grazing_gap(mid) > 0
+        blo = np.where(pos, mid, blo)
+        bhi = np.where(pos, bhi, mid)
+    return surface(0.5 * (blo + bhi))
+
+
+# ---------------------------------------------------------------------------
 # Reference aircraft placement: numpy 3-vectors per candidate and one norm
 # per accepted aircraft, the loop ``geometry.sample_aircraft_positions`` must
 # reproduce bit for bit, stream consumption included.

@@ -6,8 +6,10 @@ criteria; trial counts are desk-scale but large enough that every ordering
 and tolerance below has multi-sigma margin.
 """
 
+import hashlib
 import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,11 @@ def _report(criterion: int, text: str) -> None:
 
 FULL_SCALE_POINTS = ((8, 7.0), (16, 5.0), (32, 4.0))
 TRIALS_PER_POINT = 700
+FULL_SCALE_TASKS = [(k, r_g, i) for (k, r_g) in FULL_SCALE_POINTS for i in range(TRIALS_PER_POINT)]
+
+#: One line per realization of the batch, "K r_G trial digest", recorded
+#: before the specular search moved into the station-aircraft plane.
+PINNED_BATCH = Path(__file__).parent / "data" / "full-scale-batch.txt"
 
 
 def _full_scale_worker(args):
@@ -66,14 +73,18 @@ def _full_scale_worker(args):
 
 @pytest.fixture(scope="module")
 def full_scale_batch():
-    tasks = [
-        (k, r_g, i)
-        for (k, r_g) in FULL_SCALE_POINTS
-        for i in range(TRIALS_PER_POINT)
-    ]
     with ProcessPoolExecutor(max_workers=2) as pool:
-        results = list(pool.map(_full_scale_worker, tasks, chunksize=32))
+        results = list(pool.map(_full_scale_worker, FULL_SCALE_TASKS, chunksize=32))
     return results
+
+
+def batch_digest(res) -> str:
+    """Digest of one realization's outcomes: every decoded and outage set
+    and LGSA size, as plain integers."""
+    canon = sorted(
+        (key, tuple(int(i) for i in v) if isinstance(v, tuple) else int(v)) for key, v in res.items()
+    )
+    return hashlib.sha256(repr(canon).encode()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +150,18 @@ def test_criterion_04_containment_chain(full_scale_batch):
         assert res["lk_outage"] == res["gsa_outage"]
     _report(4, f"ISU in SSA, |SSA| <= |LGSA:2| <= |LGSA:4| <= |GSA|, LGSA:K = GSA on "
                f"{len(full_scale_batch)} realizations")
+
+
+def test_full_scale_batch_matches_pinned_outcomes(full_scale_batch):
+    pinned = [line.split() for line in PINNED_BATCH.read_text().splitlines()]
+    assert [(int(k), float(r_g), int(i)) for k, r_g, i, _ in pinned] == FULL_SCALE_TASKS
+    differ = [
+        f"K={k} r_G={r_g} trial {i}"
+        for (k, r_g, i, want), res in zip(pinned, full_scale_batch)
+        if batch_digest(res) != want
+    ]
+    assert not differ, f"{len(differ)} of {len(pinned)} realizations differ: {', '.join(differ)}"
+    print(f"[pinned batch] PASS  all {len(pinned)} realizations match their pinned outcomes")
 
 
 # ---------------------------------------------------------------------------

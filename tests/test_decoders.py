@@ -15,6 +15,7 @@ from noma_outage.decoders import (
     cgtr_order,
     decode_with_order,
     gsa,
+    isu_rows,
     isu_set,
     lgsa,
     oracle_best_sic,
@@ -476,6 +477,24 @@ def test_cgtr_key_values_match_formula():
     assert np.all(np.diff(keys[list(order)]) <= 1e-15)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 40),
+    n_gains=st.integers(1, 5),
+    n_rates=st.integers(1, 5),
+)
+def test_cgtr_order_matches_sorted_definition_with_exact_ties(seed, k, n_gains, n_rates):
+    # a few distinct columns and rates, so many keys tie exactly
+    rng = np.random.default_rng(seed)
+    cols = random_channel(rng, 3, n_gains)
+    h = cols[:, rng.integers(0, n_gains, size=k)]
+    r = rng.uniform(1.0, 5.0, size=n_rates)[rng.integers(0, n_rates, size=k)]
+    gains = np.sum(np.abs(h) ** 2, axis=0)
+    keys = gains * (1.0 + 1.0 / (2.0**r + 1.0))
+    assert cgtr_order(h, r) == tuple(sorted(range(k), key=lambda i: (-keys[i], i)))
+
+
 # ---------------------------------------------------------------------------
 # ISU
 # ---------------------------------------------------------------------------
@@ -502,6 +521,36 @@ def test_isu_contained_in_ssa_and_matches_direct_check():
         }
         assert isu == ref
         assert isu <= ssa(h, r, gamma).decoded
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 15),
+    eps=st.sampled_from([0.0, -0.1, 0.05]),
+    ties=st.lists(st.tuples(st.integers(0, 14), st.integers(0, 6), st.sampled_from([-1, 0, 1])), max_size=4),
+)
+def test_isu_rows_match_reference_row_by_row(seed, n_rows, eps, ties):
+    rng = np.random.default_rng(seed)
+    h, r, gamma = random_instance(rng, k_max=7)
+    k = h.shape[1]
+    single = np.log2(1.0 + gamma * np.sum(np.abs(h) ** 2, axis=0))
+    levels = np.sort(rng.uniform(0.05, 1.0, size=n_rows)) * single.max()
+    perturbed = r * rng.uniform(0.7, 1.3, size=(n_rows, k))
+    rows = np.where(rng.random((n_rows, 1)) < 0.5, levels[:, None] * np.ones(k), perturbed)
+    ev = RateEvaluator(h, gamma)
+    # a rate exactly at, or one ulp either side of, its threshold
+    for i, x, ulp in ties:
+        edge = ev.group_rate((x % k,), set(range(k)) - {x % k}) + eps
+        rows[i % n_rows, x % k] = edge if ulp == 0 else np.nextafter(edge, ulp * np.inf)
+    stacked = isu_rows(RateEvaluator(h, gamma), rows, eps)
+    assert len(stacked) == n_rows
+    for row, (done, mults) in zip(rows, stacked):
+        counter = MultCounter()
+        ref = helpers.ref_isu_set(RateEvaluator(h, gamma), row, counter, eps)
+        assert done == tuple(sorted(ref))
+        assert mults == counter.total
+        assert isu_rows(RateEvaluator(h, gamma), [row], eps) == [(done, mults)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from helpers import (
     ref_build_reflector_map,
     ref_lay_rows,
     ref_sample_aircraft_positions,
+    ref_specular_points,
 )
 from noma_outage.config import ConfigError, RectangleSides, ScenarioConfig
 from noma_outage.geometry import (
@@ -219,6 +220,27 @@ def test_specular_batch_matches_scalar():
     for p, row in zip(pts, batch):
         single = _specular(gs, [p])[0]
         assert np.linalg.norm(single - row) < 1e-3
+
+
+def test_specular_points_match_reference_bisection():
+    # 2,000 aircraft uniform over the cell at 1-13 km, plus one straight
+    # overhead and two on the cell edge
+    rng = np.random.default_rng(17)
+    cfg = ScenarioConfig()
+    gs = gs_point(cfg)
+    n = 2_000
+    dist = np.r_[0.0, cfg.cell_radius_m, cfg.cell_radius_m, cfg.cell_radius_m * np.sqrt(rng.random(n))]
+    az = rng.uniform(0.0, 2.0 * math.pi, size=n + 3)
+    alt = np.r_[10_000.0, 1_000.0, 13_000.0, rng.uniform(1_000.0, 13_000.0, size=n)]
+    acs = np.array([point_from_local(gs, EARTH, d * math.sin(z), d * math.cos(z), h).xyz(EARTH)
+                    for d, z, h in zip(dist, az, alt)])
+    got = specular_reflection_points_batch(gs, acs, EARTH)
+    ref = ref_specular_points(gs, acs, EARTH)
+    assert np.array_equal(got[0], EARTH.radius_m * gs.unit())
+    assert np.linalg.norm(got - ref, axis=1).max() < 2e-7
+    for spec in (got, ref):
+        gap = grazing_angle(spec, gs.xyz(EARTH)[None, :]) - grazing_angle(spec, acs)
+        assert np.abs(gap).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,40 @@ def test_equal_rate_sweep_walks_each_order_once_per_trial(monkeypatch):
     assert {n_rows for _, _, n_rows in walks} == {1}  # a lone trial walks one row
 
 
+def test_equal_rate_sweep_decides_isu_once_per_trial(monkeypatch):
+    calls = []
+    isu_rows = decoders.isu_rows
+
+    def counted_isu_rows(ev, rows, eps=0.0):
+        calls.append(len(rows))
+        return isu_rows(ev, rows, eps)
+
+    monkeypatch.setattr(decoders, "isu_rows", counted_isu_rows)
+    cfg = SMALL.replace(algorithms=("ISU",), r_g_list=(1.0, 3.0, 5.0, 7.0), trials=4)
+    rows = run_sweep(cfg)
+    assert calls == [len(cfg.r_g_list)] * cfg.trials
+    for row in rows:
+        outcomes = [run_trial(cfg, i, row.r_g)["ISU"] for i in range(cfg.trials)]
+        assert row.estimate.decoded_total == sum(o.n_decoded for o in outcomes), row
+        assert row.estimate.mult_total == sum(o.mult_count for o in outcomes), row
+
+
+def test_sweep_random_orders_match_random_order(monkeypatch):
+    seen = []
+    run = montecarlo.run_algorithms
+
+    def recording_run_algorithms(ev, h, rates, gamma, algorithms, random_order, eps=0.0):
+        seen.append((ev.k, random_order))
+        return run(ev, h, rates, gamma, algorithms, random_order, eps)
+
+    monkeypatch.setattr(montecarlo, "run_algorithms", recording_run_algorithms)
+    cfg = SMALL.replace(rate_mode="variable_rate", k_list=(2, 4, 3, 1), algorithms=("SIC_RANDOM",))
+    for t in range(3):
+        seen.clear()
+        montecarlo._sweep_trial((cfg, t))
+        assert seen == [(k, montecarlo._random_order(cfg, t, k)) for k in cfg.k_list]
+
+
 def test_fixed_order_rates_outside_the_rows_walk_alone():
     cfg = SMALL.replace(algorithms=("SIC_RANDOM", "SIC_CGTR", "SIC_VBLAST"))
     h = build_trial_channel(cfg, 0).h
