@@ -18,8 +18,10 @@ and a fixed-order SIC baseline walks each of its orders once for all of them.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import takewhile
 from math import sqrt
 from typing import Iterable
@@ -30,7 +32,7 @@ from . import decoders
 from .channel import ChannelMatrix, LinkBudget, channel_matrix
 from .config import EQUAL_RATE, VARIABLE_RATE, ScenarioConfig, parse_algorithm
 from .decoders import DecodeOutcome
-from .geometry import GeoPoint, ReflectorMap, build_reflector_map, scenario_geometry
+from .geometry import GeoPoint, ReflectorMap, _gauss_legendre, build_reflector_map, scenario_geometry
 from .rates import MultCounter, RateEvaluator
 
 
@@ -68,10 +70,12 @@ class SweepRow:
     master_seed: int
 
 
-def _trial_seeds(cfg: ScenarioConfig, trial_index: int):
-    ss = np.random.SeedSequence((cfg.master_seed, trial_index))
-    pos_ss, map_ss, rate_ss, order_ss = ss.spawn(4)
-    return pos_ss, map_ss, rate_ss, order_ss
+@lru_cache(maxsize=1)
+def _trial_seeds(master_seed: int, trial_index: int) -> tuple[np.random.SeedSequence, ...]:
+    """(positions, map, rates, random order) streams of one trial.  A sweep
+    trial reads all four, one after another, so they are spawned once; the
+    cached streams are only read, never spawned from."""
+    return tuple(np.random.SeedSequence((master_seed, trial_index)).spawn(4))
 
 
 def _map_seed(seed_seq: np.random.SeedSequence) -> int:
@@ -82,7 +86,7 @@ def build_trial_geometry(
     cfg: ScenarioConfig, trial_index: int
 ) -> tuple[tuple[GeoPoint, ...], ReflectorMap]:
     """(aircraft, reflector map) of one trial index."""
-    pos_ss, map_ss, _, _ = _trial_seeds(cfg, trial_index)
+    pos_ss, map_ss, _, _ = _trial_seeds(cfg.master_seed, trial_index)
     aircraft = scenario_geometry(cfg, np.random.default_rng(pos_ss))
     if cfg.freeze_reflector_map:
         frozen_ss = np.random.SeedSequence((cfg.master_seed,))
@@ -99,7 +103,7 @@ def build_trial_channel(cfg: ScenarioConfig, trial_index: int) -> ChannelMatrix:
 
 def draw_variable_rates(cfg: ScenarioConfig, trial_index: int) -> np.ndarray:
     """Independent per-aircraft rates, uniform on [r_g, r_max]."""
-    _, _, rate_ss, _ = _trial_seeds(cfg, trial_index)
+    _, _, rate_ss, _ = _trial_seeds(cfg.master_seed, trial_index)
     rng = np.random.default_rng(rate_ss)
     return rng.uniform(cfg.r_g, cfg.r_max, size=cfg.k_aircraft)
 
@@ -109,7 +113,7 @@ def _permutation(order_ss: np.random.SeedSequence, k: int) -> tuple[int, ...]:
 
 
 def _random_order(cfg: ScenarioConfig, trial_index: int, k: int) -> tuple[int, ...]:
-    return _permutation(_trial_seeds(cfg, trial_index)[3], k)
+    return _permutation(_trial_seeds(cfg.master_seed, trial_index)[3], k)
 
 
 def _per_row(ev, key, rates, solve):
@@ -217,7 +221,7 @@ def _sweep_trial(args) -> list[dict[str, tuple[int, int]]]:
     gamma = LinkBudget.from_config(cfg).snr_linear
     drawn = draw_variable_rates(cfg_max, trial_index) if cfg.rate_mode == VARIABLE_RATE else None
     rates = [np.full(k, r_g) if drawn is None else drawn[:k] for k, r_g in points]
-    order_ss = _trial_seeds(cfg, trial_index)[3]
+    order_ss = _trial_seeds(cfg.master_seed, trial_index)[3]
     ev = None
     out = []
     for j, (k, _) in enumerate(points):
@@ -233,20 +237,75 @@ def _sweep_trial(args) -> list[dict[str, tuple[int, int]]]:
     return out
 
 
-def _map_trials(tasks, threads: int):
+def _map_trials(tasks, threads: int) -> list:
+    """``_sweep_trial`` of every task, in task order, on min(threads, tasks)
+    processes counting this one.
+
+    With two or more, the one-off loads happen here first, then a pool of
+    the others starts and this process runs trials beside it.  Every process
+    takes the next trial index from one sequence: a worker is handed its
+    next one as soon as it returns one, so none waits on this process's
+    trial.  After a trial raises, no further trial starts, and the error is
+    raised once the pool has shut down."""
     # a pool starts all its workers at the first submit: no more than tasks
     workers = min(threads, len(tasks))
     if workers <= 1:
         return [_sweep_trial(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(tasks) // (8 * workers))
-        return list(pool.map(_sweep_trial, tasks, chunksize=chunk))
+    # forked workers inherit these loads; under spawn or forkserver they
+    # only warm this process
+    import numpy.random  # noqa: F401  (numpy loads it on first use)
+
+    _gauss_legendre()
+    results: list = [None] * len(tasks)
+    errors: list[BaseException] = []  # once not empty, no trial starts
+    indices = iter(range(len(tasks)))
+    lock = threading.Lock()
+
+    def take() -> int | None:
+        # called under the lock: once an error is recorded, nothing starts
+        return None if errors else next(indices, None)
+
+    def hand_out() -> None:
+        with lock:
+            i = take()
+            fut = None if i is None else pool.submit(_sweep_trial, tasks[i])
+        if fut is not None:
+            fut.add_done_callback(lambda done: collect(i, done))
+
+    def collect(i: int, done) -> None:
+        err = done.exception()
+        if err is None:
+            results[i] = done.result()
+            hand_out()
+        else:
+            with lock:
+                errors.append(err)
+
+    with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+        for _ in range(workers - 1):
+            hand_out()
+        try:
+            while True:
+                with lock:
+                    i = take()
+                if i is None:
+                    break
+                results[i] = _sweep_trial(tasks[i])
+        except BaseException as err:
+            with lock:
+                errors.append(err)
+            raise
+    if errors:
+        raise errors[0]
+    return results
 
 
 def run_sweep(cfg: ScenarioConfig) -> list[SweepRow]:
-    """Run the configured sweep on ``cfg.threads`` workers; one row per
-    (algorithm, sweep point).
+    """Run the configured sweep; one row per (algorithm, sweep point).
 
+    The trials run on min(``cfg.threads``, ``cfg.trials``) processes, this
+    one included: with two or more, this process forks the others after
+    the one-off loads and runs trials beside them (see ``_map_trials``).
     Aggregation is an order-insensitive integer reduction, so the result is
     identical for any worker count."""
     cfg.validate()

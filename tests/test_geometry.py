@@ -20,6 +20,7 @@ from noma_outage.geometry import (
     EarthModel,
     GeoPoint,
     ReflectorMap,
+    _gauss_legendre,
     _lay_rows,
     build_reflector_map,
     grazing_angle,
@@ -365,6 +366,16 @@ def _covers(refl, cfg, pt):
     station's ground point."""
     xy = local_from_units(gs_point(cfg), EarthModel(cfg.earth_radius_m), pt.unit())
     return bool(refl.covers_local(xy[:, 0], xy[:, 1])[0])
+
+
+def test_gauss_legendre_rule_is_exact_to_degree_127():
+    nodes, weights = _gauss_legendre()
+    for j in range(128):
+        exact = 2.0 / (j + 1) if j % 2 == 0 else 0.0
+        assert abs(weights @ nodes**j - exact) <= 1e-13, j
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(64)
+    assert np.abs(nodes - ref_nodes).max() <= 1e-15
+    assert np.abs(weights / ref_weights - 1.0).max() <= 2e-12
 
 
 def test_is_reflective_rectangle_center_and_outside():

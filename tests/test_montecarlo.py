@@ -1,3 +1,9 @@
+import multiprocessing
+import os
+import sys
+import time
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
@@ -125,8 +131,8 @@ def test_sweep_parallel_matches_serial():
     variable = equal.replace(rate_mode="variable_rate", k_list=(4, 2, 3))
     for cfg in (equal, variable):
         serial = run_sweep(cfg.replace(threads=1))
-        parallel = run_sweep(cfg.replace(threads=2))
-        assert serial == parallel, cfg.rate_mode
+        for threads in (2, 3):
+            assert run_sweep(cfg.replace(threads=threads)) == serial, (cfg.rate_mode, threads)
 
 
 def test_smaller_k_channel_and_rates_are_prefixes_of_largest():
@@ -281,11 +287,22 @@ def test_sweep_runs_greedy_sic_once_per_point(monkeypatch):
     assert len(sic_passes) == cfg.trials * len(cfg.r_g_list)
 
 
+def test_sweep_trial_derives_its_streams_once():
+    cfg = SMALL.replace(rate_mode="variable_rate", k_list=(2, 4, 3), trials=3)
+    montecarlo._trial_seeds.cache_clear()
+    for t in range(cfg.trials):
+        montecarlo._sweep_trial((cfg, t))
+    # geometry, rate draw and random order read one derivation per trial
+    info = montecarlo._trial_seeds.cache_info()
+    assert (info.misses, info.hits) == (cfg.trials, 2 * cfg.trials)
+
+
 def test_worker_pool_capped_at_trial_count(monkeypatch):
     started = []
 
     class SerialPool:
-        """Stands in for the process pool: records its size, maps in-process."""
+        """Stands in for the process pool: records its size, runs each
+        submitted trial in-process at once."""
 
         def __init__(self, max_workers):
             started.append(max_workers)
@@ -296,13 +313,83 @@ def test_worker_pool_capped_at_trial_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
     cfg = SMALL.replace(trials=3, threads=16)
     assert run_sweep(cfg) == run_sweep(cfg.replace(threads=1))
-    assert started == [3]
+    # three processes in all: this one and a pool of two
+    assert started == [2]
     # one trial runs serially, with no pool at all
     assert run_sweep(cfg.replace(trials=1)) == run_sweep(cfg.replace(trials=1, threads=1))
-    assert started == [3]
+    assert started == [2]
+
+
+REAL_SWEEP_TRIAL = montecarlo._sweep_trial
+#: Set by a test before its pool forks: the sweeping process, the file each
+#: trial logs its (process, index) to, and role -> (seconds slept, raises?).
+#: Only workers forked from this process see them.
+forked_workers = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="the stand-in trial needs forked workers"
+)
+SWEEP_PID = None
+TRIAL_LOG = None
+PLAN = {}
+
+
+def _planned_trial(args):
+    """Stands in for ``_sweep_trial``: logs who runs which trial, then sleeps
+    and raises or runs the trial as PLAN says for this process's role."""
+    role = "parent" if os.getpid() == SWEEP_PID else "worker"
+    with open(TRIAL_LOG, "a", encoding="utf-8") as fh:
+        fh.write(f"{role} {os.getpid()} {args[1]}\n")
+    sleep_s, fails = PLAN.get(role, (0.0, False))
+    time.sleep(sleep_s)
+    if fails:
+        raise RuntimeError(f"planned failure in trial {args[1]}")
+    return REAL_SWEEP_TRIAL(args)
+
+
+def _plan(monkeypatch, tmp_path, plan):
+    this = sys.modules[__name__]
+    monkeypatch.setattr(this, "SWEEP_PID", os.getpid())
+    monkeypatch.setattr(this, "TRIAL_LOG", str(tmp_path / "trials.log"))
+    monkeypatch.setattr(this, "PLAN", plan)
+    monkeypatch.setattr(montecarlo, "_sweep_trial", _planned_trial)
+
+
+def _trials_run(tmp_path):
+    """role -> indices of the trials that role started, in start order."""
+    runs = {"parent": [], "worker": []}
+    for line in (tmp_path / "trials.log").read_text().splitlines():
+        role, _, index = line.split()
+        runs[role].append(int(index))
+    return runs
+
+
+@forked_workers
+def test_workers_run_on_while_the_sweeping_process_runs_a_long_trial(monkeypatch, tmp_path):
+    cfg = SMALL.replace(trials=8, threads=2)
+    serial = run_sweep(cfg.replace(threads=1))
+    _plan(monkeypatch, tmp_path, {"parent": (1.0, False)})
+    assert run_sweep(cfg) == serial
+    runs = _trials_run(tmp_path)
+    assert sorted(runs["parent"] + runs["worker"]) == list(range(8))
+    # of the 7 trials besides this process's first, which sleeps 1 s
+    assert len(runs["worker"]) >= 6, runs
+
+
+@forked_workers
+@pytest.mark.parametrize("failing", ["worker", "parent"])
+def test_failed_trial_raises_and_starts_no_further_trial(monkeypatch, tmp_path, failing):
+    other = "parent" if failing == "worker" else "worker"
+    _plan(monkeypatch, tmp_path, {failing: (0.0, True), other: (0.5, False)})
+    with pytest.raises(RuntimeError, match="planned failure"):
+        run_sweep(SMALL.replace(trials=8, threads=2))
+    assert multiprocessing.active_children() == []
+    # the worker is handed trial 0 and this process takes trial 1; the
+    # failure stops both from taking another
+    assert _trials_run(tmp_path) == {"worker": [0], "parent": [1]}
