@@ -13,15 +13,16 @@ injection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, combinations, islice, permutations
 from math import comb
 from typing import Sequence
 
 import numpy as np
 
-from .rates import MultCounter, RateEvaluator, eval_cost, subset_conditions_hold
+from .rates import TABLE_LIMIT, MultCounter, RateEvaluator, eval_cost, subsets_of_size
 
-ORACLE_MAX_SET_LIMIT = 12
+ORACLE_MAX_SET_LIMIT = TABLE_LIMIT
 ORACLE_BEST_SIC_LIMIT = 8
 
 
@@ -125,10 +126,13 @@ def _first(want: bool, ev, counter, s: int, t: int, need, fast, eps, reference) 
 
 #: Candidates a certificate would replace (groups left in a round, or subsets
 #: of a feasible group) above which the scan first tries one.  On paper-fig4
-#: states a certificate took 0.2-0.4 ms, the batched scan 1.1-2.3 us per
-#: candidate and a subset check about 40 us, so a certificate that fails costs
-#: at most a fraction of the work it tried to replace; the nested decoders'
-#: time per trial did not move measurably between 2^8 and 2^14.
+#: states (40 trials, master seed 11) a certificate attempt took 0.1-0.4 ms
+#: (1.3 ms at most), the batched group scan 2-3 us per candidate and the
+#: subset scan on W about 2.4 us per subset from ten aircraft on (20-50 us per
+#: subset for groups of two to four, where a call's fixed cost dominates), so
+#: a certificate that fails costs at most a fraction of the work it tried to
+#: replace; the nested decoders' time per trial (22-25 ms) did not move
+#: beyond run-to-run noise between 2^8 and 2^12.
 _CERTIFY_ABOVE = 2**10
 
 #: Greedy vertices per certificate attempt before the scan takes over.
@@ -251,6 +255,8 @@ def _batched_submatrix_log2det(w: np.ndarray, pos: np.ndarray) -> np.ndarray:
     definite (a whitened inverse, or a Schur complement S for the pair prune).
     Above pairs: minus C's chain rates, which cannot underflow as a det can, on
     W's Hermitian part, since pivot steps leave W's triangles apart by rounding."""
+    if pos.shape[1] == 1:
+        return np.log2(w[pos[:, 0], pos[:, 0]].real)
     if pos.shape[1] == 2:
         a = w[pos[:, 0], pos[:, 0]].real
         d = w[pos[:, 1], pos[:, 1]].real
@@ -291,20 +297,59 @@ def _subsets_hold(ev, w, r, cand, t, counter, eps) -> bool:
     """The proper-subset conditions of a group whose full condition holds
     against T = U \\ C.  With F(S) = R_S^T - r_S, a base of F's polytope with
     every entry above max(-eps, 0) + TIE proves them all, and the subset
-    evaluations are charged in closed form; otherwise they are checked one
-    by one."""
+    evaluations are charged in closed form; otherwise ``_subset_scan``
+    checks them.  Both read W[C, C]'s Hermitian part."""
     v = len(cand)
+    c = np.asarray(cand, dtype=np.intp)
+    wc = w[c[:, None], c]
+    wc = (wc + wc.conj().T) / 2.0
     if 2**v - 2 > _CERTIFY_ABOVE:
-        c = np.asarray(cand, dtype=np.intp)
 
         def vertex(order):  # decoded in reverse chain order: rate of pi_i against T u P_{i-1}
-            return _chain_rates(w, c[order[::-1]])[::-1] - r[c[order]]
+            return _chain_rates(wc, order[::-1])[::-1] - r[c[order]]
 
         if _min_norm_certificate(vertex, v, max(-eps, 0.0) + TIE):
             for s in range(1, v):
                 _charge(ev, counter, comb(v, s), s, len(t))
             return True
-    return subset_conditions_hold(ev, r, cand, t, counter, eps, skip_full=True)
+    return _subset_scan(ev, wc, r, c, t, counter, eps)
+
+
+def _subset_scan(ev, wc, r, c, t, counter, eps) -> bool:
+    """Every proper subset S of C checked against T = U \\ C, largest first
+    and in combinations order within a size, on wc = W[C, C]:
+    R_S^T = log2 det W[C \\ S] - log2 det W[C].  Stops at the first chunk
+    with a failing subset and charges the evaluations a one-by-one scan
+    makes through it."""
+    v = len(c)
+    full = _batched_submatrix_log2det(wc, np.arange(v)[None, :])[0]
+    for s in range(v - 1, 0, -1):
+        scanned = 0
+        for pos, rest in _position_chunks(v, s):
+            sub = c[pos]
+            ok = _decide(r[sub].sum(axis=1), _batched_submatrix_log2det(wc, rest) - full, eps,
+                         lambda j: ev.group_rate(sub[j].tolist(), t))
+            if not ok.all():
+                _charge(ev, counter, scanned + int(np.argmin(ok)) + 1, s, len(t))
+                return False
+            scanned += len(pos)
+        _charge(ev, counter, scanned, s, len(t))
+    return True
+
+
+def _position_chunks(v: int, s: int):
+    """The subsets of s of v positions in combinations order, in chunks of
+    ``_SCAN_CHUNK``, each with the complements of its rows.  The complements
+    of a size in combinations order are those of the other size in reverse,
+    so a size that fits one chunk is read off ``subsets_of_size``."""
+    if comb(v, s) <= _SCAN_CHUNK:
+        yield subsets_of_size(v, s)[0], subsets_of_size(v, v - s)[0][::-1]
+        return
+    flat = chain.from_iterable(combinations(range(v), s))
+    while (pos := np.fromiter(islice(flat, _SCAN_CHUNK * s), np.intp).reshape(-1, s)).size:
+        rest = np.ones((len(pos), v), dtype=bool)
+        rest[np.arange(len(pos))[:, None], pos] = False
+        yield pos, rest.nonzero()[1].reshape(len(pos), v - s)
 
 
 def _fruitless_through(w, r, l_set, v, top, eps) -> int:
@@ -319,17 +364,20 @@ def _fruitless_through(w, r, l_set, v, top, eps) -> int:
     if sum(comb(n, s) for s in range(v, top + 1)) <= _CERTIFY_ABOVE:
         return v - 1
     idx = np.asarray(sorted(l_set), dtype=np.intp)
+    wl = w[idx[:, None], idx]
+    wl = (wl + wl.conj().T) / 2.0
     thr = max(eps, 0.0) + TIE
 
-    def none_pass(ground) -> bool:
+    def none_pass(ground) -> bool:  # ground: positions in idx
         def vertex(order):  # decoded in chain order: rate of pi_i against U \ P_i
-            return r[ground[order]] - _chain_rates(w, ground[order])
+            return r[idx[ground[order]]] - _chain_rates(wl, ground[order])
 
         return _min_norm_certificate(vertex, len(ground), thr)
 
-    if r[idx].sum() + _batched_submatrix_log2det(w, idx[None, :])[0] > thr:
-        return top if none_pass(idx) else v - 1
-    return min(top, n - 1) if all(none_pass(np.delete(idx, i)) for i in range(n)) else v - 1
+    every = np.arange(n)
+    if r[idx].sum() + _batched_submatrix_log2det(wl, every[None, :])[0] > thr:
+        return top if none_pass(every) else v - 1
+    return min(top, n - 1) if all(none_pass(np.delete(every, i)) for i in range(n)) else v - 1
 
 
 def _greedy_group(ev, w, r, l_set, s_star, s_hat, plan, v_max, counter, eps, v) -> int:
@@ -490,15 +538,6 @@ def walk_order(ev: RateEvaluator, rows, order: Sequence[int], eps=0.0) -> list[t
     return out
 
 
-def decode_with_order(h, r, order: Sequence[int], gamma, counter=None, eps=0.0) -> frozenset:
-    """Walk a fixed decoding order; a failed aircraft stays as interference
-    for everyone after it (it is never cancelled).  One row of ``walk_order``."""
-    (done, mults), = walk_order(_as_evaluator(h, gamma), [r], order, eps)
-    if counter is not None:
-        counter.add(mults)
-    return frozenset(done)
-
-
 def vblast_order(h, gamma, counter=None) -> tuple[int, ...]:
     """Highest post-detection SINR first: each step picks the aircraft with
     the largest achievable rate under the not-yet-selected interferers.
@@ -546,18 +585,56 @@ def isu_rows(ev: RateEvaluator, rows, eps=0.0) -> list[tuple[tuple[int, ...], in
     return [(tuple(np.flatnonzero(row).tolist()), mults) for row in ok]
 
 
-def isu_set(h, r, gamma, counter=None, eps=0.0) -> frozenset:
-    """Independent single-user decoders: everyone else is noise.  One row of
-    ``isu_rows``."""
-    (done, mults), = isu_rows(_as_evaluator(h, gamma), [r], eps)
-    if counter is not None:
-        counter.add(mults)
-    return frozenset(done)
-
-
 # ---------------------------------------------------------------------------
 # Brute-force oracles (small instances only)
 # ---------------------------------------------------------------------------
+
+def subset_sums(r, k: int) -> np.ndarray:
+    """r_S for every subset S of the K aircraft, indexed by the bitmask of S.
+    One row sum per set size, so each entry is ``r[list(S)].sum()`` over S
+    ascending, bit for bit; a zero-padded row would regroup the terms of
+    sets of 8 or more."""
+    rr = np.asarray(r, dtype=float)
+    sums = np.zeros(1 << k)
+    for size in range(1, k + 1):
+        idx, masks = subsets_of_size(k, size)
+        sums[masks] = rr[idx].sum(axis=1)
+    return sums
+
+
+@cache
+def _subsets_within(v: int) -> np.ndarray:
+    """Every nonempty subset of v positions, one 0/1 row each."""
+    return np.arange(1, 1 << v)[:, None] >> np.arange(v) & 1
+
+
+def subset_masks(groups, k: int) -> np.ndarray:
+    """Bitmasks of the nonempty subsets of each row of ``groups``, aircraft
+    indices among K with -1 padding a smaller group: a mask is 0 where a
+    subset holds padding only."""
+    groups = np.asarray(groups, dtype=np.intp)
+    bit = np.append(1 << np.arange(k), 0)  # -1 reads the 0 at the end
+    return bit[groups] @ _subsets_within(groups.shape[1]).T
+
+
+def subsets_fit(ev: RateEvaluator, sums, sub, t, eps=0.0) -> np.ndarray:
+    """For each group C, given by the bitmasks ``sub`` of its nonempty subsets
+    (0 is skipped), and its interference set T, a bitmask in ``t``: whether
+    every subset S has r_S <= R_S^T + eps.  R_S^T = C(S u T) - C(T) is read
+    off ``ev.capacity_table()`` and r_S off ``subset_sums``, so each
+    comparison is the one a ``group_rate`` loop makes, bit for bit."""
+    cap = ev.capacity_table()
+    t = np.asarray(t, dtype=np.intp)[:, None]
+    return ~((sums[sub] > cap[sub | t] - cap[t] + eps) & (sub != 0)).any(axis=1)
+
+
+@cache
+def _candidates(k: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The groups of ``size`` in combinations order, the bitmasks of their
+    nonempty subsets, and the bitmasks of their complements."""
+    cand, masks = subsets_of_size(k, size)
+    return cand, subset_masks(cand, k), masks ^ ((1 << k) - 1)
+
 
 def oracle_max_set(h, r, gamma, eps=0.0) -> frozenset:
     """Exhaustive maximal decodable set: scan candidate sets by decreasing
@@ -566,35 +643,37 @@ def oracle_max_set(h, r, gamma, eps=0.0) -> frozenset:
     ev = _as_evaluator(h, gamma)
     if ev.k > ORACLE_MAX_SET_LIMIT:
         raise ValueError(f"oracle_max_set limited to K <= {ORACLE_MAX_SET_LIMIT}")
-    rr = np.asarray(r, dtype=float)
-    everyone = frozenset(range(ev.k))
+    sums = subset_sums(r, ev.k)
     for size in range(ev.k, 0, -1):
-        for cand in combinations(sorted(everyone), size):
-            s_hat = everyone - set(cand)
-            if subset_conditions_hold(ev, rr, cand, s_hat, None, eps):
-                return frozenset(cand)
+        cand, sub, rest = _candidates(ev.k, size)
+        fit = subsets_fit(ev, sums, sub, rest, eps).nonzero()[0]
+        if fit.size:
+            return frozenset(cand[fit[0]].tolist())
     return frozenset()
+
+
+@cache
+def _orders(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All K! orders in lexicographic order, and per step the bitmasks of
+    the aircraft from that step on and of those after it."""
+    perms = np.array(list(permutations(range(k))), dtype=np.intp)
+    bits = 1 << perms
+    after = np.cumsum(bits[:, ::-1], axis=1)[:, ::-1] - bits
+    return perms, after | bits, after
 
 
 def oracle_best_sic(h, r, gamma, eps=0.0) -> tuple[tuple[int, ...], frozenset]:
     """Exhaustive SIC-order search under stop-at-first-failure semantics:
     the decoded set of an order is its longest feasible prefix.  Returns a
-    maximizing order (first found in lexicographic order) and its set."""
+    maximizing order (first found in lexicographic order) and its set.
+    Every order is decided at once: step u decodes perm[u] against the
+    aircraft after it, at C(perm[u:]) - C(perm[u+1:]) off the capacity table."""
     ev = _as_evaluator(h, gamma)
     if ev.k > ORACLE_BEST_SIC_LIMIT:
         raise ValueError(f"oracle_best_sic limited to K <= {ORACLE_BEST_SIC_LIMIT}")
-    rr = np.asarray(r, dtype=float)
-    best_order: tuple[int, ...] = tuple(range(ev.k))
-    best_len = -1
-    for perm in permutations(range(ev.k)):
-        n = 0
-        for u, i_u in enumerate(perm):
-            t_u = perm[u + 1 :]
-            if rr[i_u] > ev.group_rate((i_u,), t_u, None) + eps:
-                break
-            n += 1
-        if n > best_len:
-            best_order, best_len = perm, n
-            if best_len == ev.k:
-                break
-    return best_order, frozenset(best_order[:best_len])
+    cap = ev.capacity_table()
+    perms, now, after = _orders(ev.k)
+    fail = np.asarray(r, dtype=float)[perms] > cap[now] - cap[after] + eps
+    n = np.where(fail.any(axis=1), fail.argmax(axis=1), ev.k)
+    best = int(np.argmax(n))
+    return tuple(perms[best].tolist()), frozenset(perms[best, : n[best]].tolist())

@@ -32,12 +32,16 @@ of the defining formula, independent of how a rate is computed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
 LOG2E = float(np.log2(np.e))
+
+#: Largest K for which ``RateEvaluator.capacity_table`` holds all 2^K sets.
+TABLE_LIMIT = 12
 
 
 @dataclass
@@ -55,6 +59,16 @@ class MultCounter:
 def eval_cost(m: int, s: int, t: int) -> int:
     """Mults charged for one evaluation of R_S^T with |S| = s, |T| = t."""
     return m * m * (s + t) + 2 * m**3 if t else m * m * s
+
+
+@cache
+def subsets_of_size(k: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The subsets of ``size`` of K aircraft in combinations order: one
+    ascending row of indices each, and their bitmasks (shared, read-only)."""
+    idx = np.array(list(combinations(range(k), size)), dtype=np.intp).reshape(-1, size)
+    masks = (1 << idx).sum(axis=1)
+    idx.flags.writeable = masks.flags.writeable = False
+    return idx, masks
 
 
 class RateEvaluator:
@@ -75,6 +89,7 @@ class RateEvaluator:
         self.a = np.eye(self.k) + self.gamma * (h.conj().T @ h)
         self._cap: dict[tuple[int, ...], float] = {(): 0.0}
         self._inv: dict[tuple[int, ...], np.ndarray] = {}
+        self._table: np.ndarray | None = None
         #: (V-BLAST order, mults that found it) on this channel, filled by
         #: the first SIC_VBLAST run: the order does not depend on the rates.
         self.vblast: tuple[tuple[int, ...], int] | None = None
@@ -96,6 +111,23 @@ class RateEvaluator:
         val = 2.0 * LOG2E * float(np.sum(np.log(np.real(np.diagonal(chol)))))
         self._cap[key] = val
         return val
+
+    def capacity_table(self) -> np.ndarray:
+        """C(A) for every column set A, indexed by the bitmask of A; built
+        once, with one batched Cholesky per set size, for K <= TABLE_LIMIT.
+        Each entry is ``capacity(A)`` bit for bit: the same factor of the
+        same submatrix, and the same sum of log-diagonals."""
+        if self._table is None:
+            if self.k > TABLE_LIMIT:
+                raise ValueError(f"capacity table limited to K <= {TABLE_LIMIT}")
+            table = np.zeros(1 << self.k)
+            for size in range(1, self.k + 1):
+                idx, masks = subsets_of_size(self.k, size)
+                chol = np.linalg.cholesky(self.a[idx[:, :, None], idx[:, None, :]])
+                logs = np.log(np.real(np.diagonal(chol, axis1=1, axis2=2)))
+                table[masks] = 2.0 * LOG2E * logs.sum(axis=1)
+            self._table = table
+        return self._table
 
     def whitened_inverse(self, ids: Sequence[int]) -> np.ndarray:
         """(I + g H_A^H H_A)^{-1} for a column set A, cached.
@@ -129,30 +161,6 @@ class RateEvaluator:
         if len(union) != len(s) + len(t):
             raise ValueError("decode set and interference set must be disjoint")
         return self.capacity(union) - self.capacity(t)
-
-
-def subset_conditions_hold(
-    ev: RateEvaluator,
-    r: np.ndarray,
-    c: Iterable[int],
-    t: Iterable[int],
-    counter: MultCounter | None = None,
-    eps: float = 0.0,
-    skip_full: bool = False,
-) -> bool:
-    """True iff every nonempty subset S of C satisfies sum(r_S) <= R_S^T + eps.
-
-    Short-circuits on the first violated subset; subsets are scanned largest
-    first since the full-group sum constraint binds most often.  With
-    ``skip_full`` the full set C is taken as already checked.
-    """
-    t = tuple(sorted(t))
-    items = sorted(c)
-    for size in range(len(items) - 1 if skip_full else len(items), 0, -1):
-        for s in combinations(items, size):
-            if float(r[list(s)].sum()) > ev.group_rate(s, t, counter) + eps:
-                return False
-    return True
 
 
 def brute_force_eval_count(k: int) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import decoders
-from .rates import RateEvaluator, subset_conditions_hold
+from .rates import RateEvaluator
 
 
 @dataclass
@@ -76,7 +76,7 @@ def check_instance(h, r, gamma, mutation_eps: float = 0.0) -> tuple[list[tuple[s
     ev = RateEvaluator(h, gamma)
 
     res_ssa, res_gsa, res_l2, res_l4 = decoders.successive(ev, r, (0, ev.k, 2, 4), mutation_eps)
-    isu = decoders.isu_set(ev, r, gamma, eps=mutation_eps)
+    (isu, _), = decoders.isu_rows(ev, [r], mutation_eps)
 
     for name, res in (("SSA", res_ssa), ("GSA", res_gsa), ("LGSA:2", res_l2)):
         if res.decoded | res.outage != everyone:
@@ -88,12 +88,19 @@ def check_instance(h, r, gamma, mutation_eps: float = 0.0) -> tuple[list[tuple[s
             problems.append(("plan", f"{name}: plan does not partition decoded set"))
 
     # plan replay: every group feasible against later groups plus outage
+    replay = []  # (name, group, bitmask of the later groups and the outage set)
     for name, res in (("SSA", res_ssa), ("GSA", res_gsa)):
         later = set(res.decoded)
         for grp in res.decode_plan:
             later -= set(grp)
-            t_set = later | set(res.outage)
-            if not subset_conditions_hold(ev, r, grp, t_set, None, mutation_eps):
+            replay.append((name, grp, sum(1 << i for i in later | res.outage)))
+    if replay:
+        width = max(len(grp) for _, grp, _ in replay)
+        groups = [grp + (-1,) * (width - len(grp)) for _, grp, _ in replay]
+        fits = decoders.subsets_fit(ev, decoders.subset_sums(r, ev.k), decoders.subset_masks(groups, ev.k),
+                                    [t for _, _, t in replay], mutation_eps)
+        for (name, grp, _), fit in zip(replay, fits):
+            if not fit:
                 problems.append(("plan", f"{name}: group {grp} infeasible on replay"))
 
     _, best_sic = decoders.oracle_best_sic(ev, r, gamma)
@@ -107,7 +114,7 @@ def check_instance(h, r, gamma, mutation_eps: float = 0.0) -> tuple[list[tuple[s
             ("gsa_optimality", f"GSA decoded {len(res_gsa.decoded)}, oracle {len(max_set)}")
         )
 
-    if not isu <= res_ssa.decoded:
+    if not set(isu) <= res_ssa.decoded:
         problems.append(("containment", "ISU set not inside SSA set"))
     if not (
         len(res_ssa.decoded) <= len(res_l2.decoded) <= len(res_l4.decoded) <= len(res_gsa.decoded)

@@ -2,7 +2,7 @@
 
 import dataclasses
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from noma_outage.geometry import (
     _rect_disc_areas,
     gs_point,
 )
-from noma_outage.rates import subset_conditions_hold
+from noma_outage.rates import RateEvaluator
 
 
 def direct_group_rate(h, s, t, gamma):
@@ -103,10 +103,78 @@ def schur(ev, s_hat):
 
 
 # ---------------------------------------------------------------------------
+# One-row forms of the decoders' stacked loops
+# ---------------------------------------------------------------------------
+
+def decode_with_order(h, r, order, gamma, counter=None, eps=0.0):
+    """Walk a fixed decoding order; a failed aircraft stays as interference
+    for everyone after it.  One row of ``decoders.walk_order``."""
+    ev = h if isinstance(h, RateEvaluator) else RateEvaluator(h, gamma)
+    (done, mults), = decoders.walk_order(ev, [r], order, eps)
+    if counter is not None:
+        counter.add(mults)
+    return frozenset(done)
+
+
+def isu_set(h, r, gamma, counter=None, eps=0.0):
+    """Independent single-user decoders.  One row of ``decoders.isu_rows``."""
+    ev = h if isinstance(h, RateEvaluator) else RateEvaluator(h, gamma)
+    (done, mults), = decoders.isu_rows(ev, [r], eps)
+    if counter is not None:
+        counter.add(mults)
+    return frozenset(done)
+
+
+# ---------------------------------------------------------------------------
 # Reference decoder loops: one Cholesky ``group_rate`` per candidate, the
 # loops the elimination arrays in ``decoders`` must reproduce decision for
 # decision, mult counts included.
 # ---------------------------------------------------------------------------
+
+def subset_conditions_hold(ev, r, c, t, counter=None, eps=0.0, skip_full=False):
+    """True iff every nonempty subset S of C satisfies sum(r_S) <= R_S^T + eps.
+
+    Short-circuits on the first violated subset; subsets are scanned largest
+    first, in combinations order within a size.  With ``skip_full`` the full
+    set C is taken as already checked."""
+    t = tuple(sorted(t))
+    items = sorted(c)
+    for size in range(len(items) - 1 if skip_full else len(items), 0, -1):
+        for s in combinations(items, size):
+            if float(r[list(s)].sum()) > ev.group_rate(s, t, counter) + eps:
+                return False
+    return True
+
+
+def ref_oracle_max_set(ev, r, eps=0.0):
+    """The first set, by decreasing size and lexicographic within a size,
+    whose every subset fits under the complement's interference."""
+    rr = np.asarray(r, dtype=float)
+    everyone = frozenset(range(ev.k))
+    for size in range(ev.k, 0, -1):
+        for cand in combinations(sorted(everyone), size):
+            if subset_conditions_hold(ev, rr, cand, everyone - set(cand), None, eps):
+                return frozenset(cand)
+    return frozenset()
+
+
+def ref_oracle_best_sic(ev, r, eps=0.0):
+    """The first order, lexicographically, with the longest prefix that
+    decodes stopping at the first failure, and that prefix as a set."""
+    rr = np.asarray(r, dtype=float)
+    best_order, best_len = tuple(range(ev.k)), -1
+    for perm in permutations(range(ev.k)):
+        n = 0
+        for u, i_u in enumerate(perm):
+            if rr[i_u] > ev.group_rate((i_u,), perm[u + 1 :]) + eps:
+                break
+            n += 1
+        if n > best_len:
+            best_order, best_len = perm, n
+            if best_len == ev.k:
+                break
+    return best_order, frozenset(best_order[:best_len])
+
 
 def ref_prune_aircraft(ev, r, l_set, s_hat, counter, eps):
     while l_set:

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import decode_with_order, isu_set
 from noma_outage import decoders
 from noma_outage.channel import LinkBudget
 from noma_outage.cli import main
@@ -51,12 +52,12 @@ def _full_scale_worker(args):
     r = np.full(k, r_g)
     res_ssa = decoders.ssa(ev, r, gamma)
     order = decoders.vblast_order(ev, gamma)
-    vblast = decoders.decode_with_order(ev, r, order, gamma)
+    vblast = decode_with_order(ev, r, order, gamma)
     res_l2 = decoders.lgsa(ev, r, gamma, 2)
     res_l4 = decoders.lgsa(ev, r, gamma, 4)
     res_gsa = decoders.gsa(ev, r, gamma)
     res_lk = decoders.lgsa(ev, r, gamma, k)
-    isu = decoders.isu_set(ev, r, gamma)
+    isu = isu_set(ev, r, gamma)
     return {
         "k": k,
         "ssa": tuple(sorted(res_ssa.decoded)),

@@ -6,17 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import direct_group_rate, random_channel
+from helpers import decode_with_order, direct_group_rate, isu_set, random_channel, subset_conditions_hold
 from noma_outage import decoders
 from noma_outage.decoders import (
     _greedy_group,
     _prune_aircraft,
     _prune_subsets,
     cgtr_order,
-    decode_with_order,
     gsa,
     isu_rows,
-    isu_set,
     lgsa,
     oracle_best_sic,
     oracle_max_set,
@@ -28,7 +26,7 @@ from noma_outage.channel import LinkBudget
 from noma_outage.cli import PRESETS
 from noma_outage.config import ScenarioConfig
 from noma_outage.montecarlo import build_trial_channel, draw_variable_rates, run_algorithms
-from noma_outage.rates import MultCounter, RateEvaluator, subset_conditions_hold
+from noma_outage.rates import MultCounter, RateEvaluator
 from noma_outage.validation import random_instance
 
 
@@ -581,6 +579,43 @@ def test_oracle_size_limits_enforced():
         oracle_best_sic(h9, np.ones(9), 1.0)
 
 
+@pytest.mark.parametrize("k", [1, 5, 7, 8, 12])
+def test_subset_sums_are_row_sums_bit_for_bit(k):
+    # from 8 terms on, numpy's pairwise sum groups them by position
+    rng = np.random.default_rng(k)
+    r = rng.uniform(0.0, 10.0, k) * 10.0 ** rng.uniform(-3, 3, k)
+    sums = decoders.subset_sums(r, k)
+    for size in range(k + 1):
+        for s in itertools.combinations(range(k), size):
+            assert sums[sum(1 << i for i in s)] == r[list(s)].sum(), s
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 10),
+    eps=st.sampled_from([0.0, -0.1, 0.05]),
+    ties=st.lists(st.tuples(st.integers(1, 3), st.integers(0, 2**10 - 1), st.sampled_from([-1, 0, 1])), max_size=3),
+)
+def test_oracles_match_reference_loops(seed, k, eps, ties):
+    rng = np.random.default_rng(seed)
+    h = random_channel(rng, int(rng.choice([1, 2, 4, 8])), k)
+    gamma = float(10.0 ** rng.uniform(0.0, 1.5))
+    single = np.log2(1.0 + gamma * np.sum(np.abs(h) ** 2, axis=0))
+    r = np.where(rng.random(k) < 0.15, 0.02, rng.uniform(0.25, 1.25, size=k)) * single
+    ev = RateEvaluator(h, gamma)
+    # a group's rate sum exactly at, or one ulp either side of, its capacity
+    # threshold against an interference set (a bitmask of the rest)
+    for size, mask, ulp in ties:
+        group = sorted(rng.permutation(k)[: min(size, k)].tolist())
+        rest = {i for i in range(k) if mask >> i & 1} - set(group)
+        _put_tie(r, group, ev.group_rate(group, rest) + eps, ulp)
+    ref = RateEvaluator(h, gamma)
+    assert oracle_max_set(ev, r, gamma, eps) == helpers.ref_oracle_max_set(ref, r, eps)
+    if k <= 8:
+        assert oracle_best_sic(ev, r, gamma, eps) == helpers.ref_oracle_best_sic(ref, r, eps)
+
+
 # ---------------------------------------------------------------------------
 # outcome invariants
 # ---------------------------------------------------------------------------
@@ -750,7 +785,7 @@ def test_elimination_loop_matches_cholesky_loop(loop, seed, m, k, eps, outage_ma
     assert fast == _run_loop(loop, False, h, r, gamma, eps, outage0, order)
 
 
-@pytest.mark.parametrize("v", [2, 3, 5, 17, 40])
+@pytest.mark.parametrize("v", [1, 2, 3, 5, 17, 40])
 def test_batched_log2det_matches_slogdet(v):
     # 40 aircraft at about 46 bits each: det W[C, C] of the whole set is
     # below 2^-1074 and underflows, its log does not
@@ -829,25 +864,33 @@ def test_subset_certificate_matches_brute_force(seed, eps, tie):
             t = u - set(c)
             if r[list(c)].sum() > ev.group_rate(c, t) + eps:
                 continue  # the scan checks subsets of feasible groups only
-            brute, certified = MultCounter(), MultCounter()
+            brute = MultCounter()
             want = subset_conditions_hold(ev, r, c, t, brute, eps, skip_full=True)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(decoders, "_CERTIFY_ABOVE", 0)
-                got = decoders._subsets_hold(ev, w, r, c, t, certified, eps)
-            assert (got, certified.total) == (want, brute.total), c
+            # every group tries a certificate first; at the default threshold
+            # no group of K <= 7 does, and the subset scan on W decides it,
+            # one size at a time or, in chunks of two, a few subsets at a time
+            for certify_above, chunk in ((0, decoders._SCAN_CHUNK), (decoders._CERTIFY_ABOVE, decoders._SCAN_CHUNK),
+                                         (decoders._CERTIFY_ABOVE, 2)):
+                counter = MultCounter()
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(decoders, "_CERTIFY_ABOVE", certify_above)
+                    mp.setattr(decoders, "_SCAN_CHUNK", chunk)
+                    got = decoders._subsets_hold(ev, w, r, c, t, counter, eps)
+                assert (got, counter.total) == (want, brute.total), (c, certify_above, chunk)
 
 
 def test_certificates_fire_on_most_random_states(monkeypatch):
     # the brute-force tests above pass vacuously if nothing is certified
+    # the subset scan on W is what a group falls back to without a certificate
     monkeypatch.setattr(decoders, "_CERTIFY_ABOVE", 0)
     fallbacks = []
-    brute_force = decoders.subset_conditions_hold
+    scan = decoders._subset_scan
 
     def counted(*args, **kwargs):
         fallbacks.append(args)
-        return brute_force(*args, **kwargs)
+        return scan(*args, **kwargs)
 
-    monkeypatch.setattr(decoders, "subset_conditions_hold", counted)
+    monkeypatch.setattr(decoders, "_subset_scan", counted)
     fruitless = certified = feasible = 0
     for seed in range(300):
         ev, w, r, l_set, s_hat = _state(seed, None)

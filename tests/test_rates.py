@@ -1,16 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from helpers import direct_group_rate, random_channel
+from helpers import direct_group_rate, random_channel, subset_conditions_hold
 from noma_outage.channel import LinkBudget
-from noma_outage.rates import (
-    MultCounter,
-    RateEvaluator,
-    brute_force_eval_count,
-    subset_conditions_hold,
-)
+from noma_outage.rates import MultCounter, RateEvaluator, brute_force_eval_count
 
 
 def group_rate(h, s, t, gamma, counter=None):
@@ -138,6 +134,27 @@ def test_disjointness_enforced():
     h = random_channel(np.random.default_rng(2), 2, 3)
     with pytest.raises(ValueError):
         group_rate(h, (0, 1), (1, 2), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# capacity table
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_capacity_table_is_capacity_bit_for_bit(k):
+    rng = np.random.default_rng(k)
+    for m in sorted({max(k // 2, 1), k, 64}):  # M < K is rank-deficient
+        ev = RateEvaluator(random_channel(rng, m, k), float(10.0 ** rng.uniform(-1, 3)))
+        table = ev.capacity_table()
+        assert table.shape == (2**k,) and ev.capacity_table() is table  # built once
+        for size in range(k + 1):
+            for s in itertools.combinations(range(k), size):
+                assert table[sum(1 << i for i in s)] == ev.capacity(s), s
+
+
+def test_capacity_table_size_limit():
+    with pytest.raises(ValueError):
+        RateEvaluator(random_channel(np.random.default_rng(1), 2, 13), 1.0).capacity_table()
 
 
 # ---------------------------------------------------------------------------
