@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rates import TABLE_LIMIT, MultCounter, RateEvaluator, eval_cost, subsets_of_size
+from .rates import TABLE_LIMIT, MultCounter, RateEvaluator, capacity_tables, eval_cost, subsets_of_size
 
 ORACLE_MAX_SET_LIMIT = TABLE_LIMIT
 ORACLE_BEST_SIC_LIMIT = 8
@@ -233,7 +233,7 @@ def _prune_subsets(ev, a, r, l_set, s_hat, counter, eps) -> None:
     as for ``_prune_aircraft``."""
     while len(l_set) >= 2:
         members = np.asarray(sorted(l_set), dtype=np.intp)
-        pairs = members[np.column_stack(np.triu_indices(members.size, 1))]  # combinations order
+        pairs = members[subsets_of_size(members.size, 2)[0]]
         fast = _batched_submatrix_log2det(a, pairs)
         j = _first(False, ev, counter, 2, len(s_hat), r[pairs[:, 0]] + r[pairs[:, 1]], fast, eps,
                    lambda i: ev.group_rate(pairs[i].tolist(), s_hat))
@@ -270,7 +270,8 @@ def _scan_groups_of_size(ev, w, r, l_set, s_hat, v, counter, eps):
     sum-rate fits under the residual interference, or None.  The full-group
     condition is decided for whole combination batches on W, the inverse of
     I + gG on U = L u S_hat (rate of C against U \\ C: -log2 det W[C, C]);
-    survivors get the remaining subset checks one by one, in scan order."""
+    survivors get the remaining subset checks one by one, in scan order,
+    except pairs, whose survivors in a batch are decided together."""
     u = l_set | s_hat
     t = len(u) - v
     if v == 1:  # a singleton has no subset left to check: the first hit is the group
@@ -278,19 +279,54 @@ def _scan_groups_of_size(ev, w, r, l_set, s_hat, v, counter, eps):
         j = _first(True, ev, counter, 1, t, r[cand], -np.log2(w[cand, cand].real), eps,
                    lambda i: ev.group_rate((int(cand[i]),), u - {int(cand[i])}))
         return None if j is None else (int(cand[j]),)
-    flat = chain.from_iterable(combinations(sorted(l_set), v))
-    while (combos := np.fromiter(islice(flat, _SCAN_CHUNK * v), np.intp).reshape(-1, v)).size:
+    for combos in _group_chunks(sorted(l_set), v):
         ok = _decide(r[combos].sum(axis=1), -_batched_submatrix_log2det(w, combos), eps,
                      lambda j: ev.group_rate(combos[j].tolist(), u.difference(combos[j].tolist())))
-        scanned = 0
-        for j in ok.nonzero()[0].tolist():
-            _charge(ev, counter, j + 1 - scanned, v, t)
-            scanned = j + 1
-            cand = tuple(combos[j].tolist())
-            if _subsets_hold(ev, w, r, cand, u.difference(cand), counter, eps):
-                return cand
+        hits, scanned = ok.nonzero()[0], 0
+        if v == 2:  # the survivors' proper subsets are single aircraft: decide them together
+            if hits.size:
+                held = _pair_subsets(ev, w, r, combos[hits], u, eps)
+                passed = held.all(axis=1).nonzero()[0]
+                stop = int(passed[0]) + 1 if passed.size else len(hits)
+                # as ``_subset_scan`` charges each survivor: through its first failing subset
+                _charge(ev, counter, stop + int(held[:stop, 0].sum()), 1, t)
+                if passed.size:
+                    _charge(ev, counter, int(hits[stop - 1]) + 1, v, t)
+                    return tuple(combos[hits[stop - 1]].tolist())
+        else:
+            for j in hits.tolist():
+                _charge(ev, counter, j + 1 - scanned, v, t)
+                scanned = j + 1
+                cand = tuple(combos[j].tolist())
+                if _subsets_hold(ev, w, r, cand, u.difference(cand), counter, eps):
+                    return cand
         _charge(ev, counter, len(combos) - scanned, v, t)
     return None
+
+
+def _group_chunks(members, v: int):
+    """The groups of v of the members in combinations order, in chunks of
+    ``_SCAN_CHUNK``.  Pairs that fit one chunk, as all pairs of up to 181
+    aircraft do, are read off the cached ``subsets_of_size``."""
+    if v == 2 and comb(len(members), 2) <= _SCAN_CHUNK:
+        yield np.asarray(members, dtype=np.intp)[subsets_of_size(len(members), 2)[0]]
+        return
+    flat = chain.from_iterable(combinations(members, v))
+    while (combos := np.fromiter(islice(flat, _SCAN_CHUNK * v), np.intp).reshape(-1, v)).size:
+        yield combos
+
+
+def _pair_subsets(ev, w, r, pairs, u, eps) -> np.ndarray:
+    """``_subset_scan``'s decisions on the two single-aircraft subsets of
+    each pair C = (a, b) against T = U \\ C, one row per pair: on the same
+    Hermitian part of W[C, C], R_a^T = log2 W[b, b] - log2 det W[C, C] and
+    R_b^T = log2 W[a, a] - log2 det W[C, C]."""
+    wc = w[pairs[:, :, None], pairs[:, None, :]]
+    wc = (wc + wc.conj().transpose(0, 2, 1)) / 2.0
+    diag = wc[:, [0, 1], [0, 1]].real
+    full = np.log2(diag[:, 0] * diag[:, 1] - np.abs(wc[:, 0, 1]) ** 2)
+    return _decide(r[pairs], np.log2(diag[:, ::-1]) - full[:, None], eps,
+                   lambda j: ev.group_rate((int(pairs.flat[j]),), u.difference(pairs[j // 2].tolist())))
 
 
 def _subsets_hold(ev, w, r, cand, t, counter, eps) -> bool:
@@ -590,15 +626,16 @@ def isu_rows(ev: RateEvaluator, rows, eps=0.0) -> list[tuple[tuple[int, ...], in
 # ---------------------------------------------------------------------------
 
 def subset_sums(r, k: int) -> np.ndarray:
-    """r_S for every subset S of the K aircraft, indexed by the bitmask of S.
-    One row sum per set size, so each entry is ``r[list(S)].sum()`` over S
-    ascending, bit for bit; a zero-padded row would regroup the terms of
-    sets of 8 or more."""
+    """r_S for every subset S of the K aircraft, indexed by the bitmask of S,
+    for a rate row or a stack of them (one row of sums each).  One row sum
+    per set size, so each entry is ``r[list(S)].sum()`` over S ascending,
+    bit for bit; a zero-padded row would regroup the terms of sets of 8 or
+    more."""
     rr = np.asarray(r, dtype=float)
-    sums = np.zeros(1 << k)
+    sums = np.zeros(rr.shape[:-1] + (1 << k,))
     for size in range(1, k + 1):
         idx, masks = subsets_of_size(k, size)
-        sums[masks] = rr[idx].sum(axis=1)
+        sums[..., masks] = rr[..., idx].sum(axis=-1)
     return sums
 
 
@@ -617,15 +654,18 @@ def subset_masks(groups, k: int) -> np.ndarray:
     return bit[groups] @ _subsets_within(groups.shape[1]).T
 
 
-def subsets_fit(ev: RateEvaluator, sums, sub, t, eps=0.0) -> np.ndarray:
-    """For each group C, given by the bitmasks ``sub`` of its nonempty subsets
-    (0 is skipped), and its interference set T, a bitmask in ``t``: whether
-    every subset S has r_S <= R_S^T + eps.  R_S^T = C(S u T) - C(T) is read
-    off ``ev.capacity_table()`` and r_S off ``subset_sums``, so each
+def subsets_fit(cap, sums, inst, sub, t, eps=0.0) -> np.ndarray:
+    """For each group C, given by the bitmasks ``sub`` of its nonempty
+    subsets along the last axis (0 is skipped), its instance ``inst`` and its
+    interference set T, a bitmask in ``t``: whether every subset S has
+    r_S <= R_S^T + eps.  ``inst`` picks the rows of ``cap``, the instances'
+    ``rates.capacity_tables``, and of ``sums``, their ``subset_sums``;
+    ``inst`` and ``t`` broadcast against the leading axes of ``sub``.
+    R_S^T = C(S u T) - C(T) and r_S are read off those rows, so each
     comparison is the one a ``group_rate`` loop makes, bit for bit."""
-    cap = ev.capacity_table()
-    t = np.asarray(t, dtype=np.intp)[:, None]
-    return ~((sums[sub] > cap[sub | t] - cap[t] + eps) & (sub != 0)).any(axis=1)
+    inst = np.asarray(inst, dtype=np.intp)[..., None]
+    t = np.asarray(t, dtype=np.intp)[..., None]
+    return ~((sums[inst, sub] > cap[inst, sub | t] - cap[inst, t] + eps) & (sub != 0)).any(axis=-1)
 
 
 @cache
@@ -636,20 +676,41 @@ def _candidates(k: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cand, subset_masks(cand, k), masks ^ ((1 << k) - 1)
 
 
-def oracle_max_set(h, r, gamma, eps=0.0) -> frozenset:
+def _instances(h, r, gamma) -> tuple[list[RateEvaluator], np.ndarray, bool]:
+    """(evaluators, rate rows, whether a stack) of an oracle call: one
+    instance, a channel or evaluator with a rate row, or a stack, a sequence
+    of evaluators with one K and a 2-D array of their rate rows."""
+    rows = np.asarray(r, dtype=float)
+    if rows.ndim == 2:
+        return list(h), rows, True
+    return [_as_evaluator(h, gamma)], rows[None, :], False
+
+
+def oracle_max_set(h, r, gamma, eps=0.0):
     """Exhaustive maximal decodable set: scan candidate sets by decreasing
     size (lexicographic within a size) and return the first whose every
-    subset sum-rate fits under the complement's interference."""
-    ev = _as_evaluator(h, gamma)
-    if ev.k > ORACLE_MAX_SET_LIMIT:
+    subset sum-rate fits under the complement's interference.
+
+    A stack of instances (see ``_instances``) gets a list of sets, one per
+    instance: all instances still open are decided at once per size, largest
+    first, and each takes its first fitting candidate at its first size with
+    one."""
+    evs, rows, stacked = _instances(h, r, gamma)
+    k = evs[0].k
+    if k > ORACLE_MAX_SET_LIMIT:
         raise ValueError(f"oracle_max_set limited to K <= {ORACLE_MAX_SET_LIMIT}")
-    sums = subset_sums(r, ev.k)
-    for size in range(ev.k, 0, -1):
-        cand, sub, rest = _candidates(ev.k, size)
-        fit = subsets_fit(ev, sums, sub, rest, eps).nonzero()[0]
-        if fit.size:
-            return frozenset(cand[fit[0]].tolist())
-    return frozenset()
+    cap, sums = capacity_tables(evs), subset_sums(rows, k)
+    found = [frozenset()] * len(evs)
+    open_ = np.arange(len(evs))
+    for size in range(k, 0, -1):
+        cand, sub, rest = _candidates(k, size)
+        fit = subsets_fit(cap, sums, open_[:, None], sub, rest, eps)
+        hit = fit.any(axis=1)
+        for i, j in zip(open_[hit].tolist(), fit[hit].argmax(axis=1).tolist()):
+            found[i] = frozenset(cand[j].tolist())
+        if not (open_ := open_[~hit]).size:
+            break
+    return found if stacked else found[0]
 
 
 @cache
@@ -662,18 +723,22 @@ def _orders(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return perms, after | bits, after
 
 
-def oracle_best_sic(h, r, gamma, eps=0.0) -> tuple[tuple[int, ...], frozenset]:
+def oracle_best_sic(h, r, gamma, eps=0.0):
     """Exhaustive SIC-order search under stop-at-first-failure semantics:
     the decoded set of an order is its longest feasible prefix.  Returns a
     maximizing order (first found in lexicographic order) and its set.
     Every order is decided at once: step u decodes perm[u] against the
-    aircraft after it, at C(perm[u:]) - C(perm[u+1:]) off the capacity table."""
-    ev = _as_evaluator(h, gamma)
-    if ev.k > ORACLE_BEST_SIC_LIMIT:
+    aircraft after it, at C(perm[u:]) - C(perm[u+1:]) off the capacity table.
+    A stack of instances (see ``_instances``) is decided at once too, and
+    gets a list of (order, set), one per instance."""
+    evs, rows, stacked = _instances(h, r, gamma)
+    k = evs[0].k
+    if k > ORACLE_BEST_SIC_LIMIT:
         raise ValueError(f"oracle_best_sic limited to K <= {ORACLE_BEST_SIC_LIMIT}")
-    cap = ev.capacity_table()
-    perms, now, after = _orders(ev.k)
-    fail = np.asarray(r, dtype=float)[perms] > cap[now] - cap[after] + eps
-    n = np.where(fail.any(axis=1), fail.argmax(axis=1), ev.k)
-    best = int(np.argmax(n))
-    return tuple(perms[best].tolist()), frozenset(perms[best, : n[best]].tolist())
+    cap = capacity_tables(evs)
+    perms, now, after = _orders(k)
+    fail = rows[:, perms] > cap[:, now] - cap[:, after] + eps
+    n = np.where(fail.any(axis=2), fail.argmax(axis=2), k)
+    found = [(tuple(perms[best].tolist()), frozenset(perms[best, :got].tolist()))
+             for best, got in zip(n.argmax(axis=1).tolist(), n.max(axis=1).tolist())]
+    return found if stacked else found[0]

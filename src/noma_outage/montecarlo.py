@@ -19,8 +19,9 @@ and a fixed-order SIC baseline walks each of its orders once for all of them.
 from __future__ import annotations
 
 import threading
+import weakref
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import takewhile
 from math import sqrt
@@ -116,15 +117,43 @@ def _random_order(cfg: ScenarioConfig, trial_index: int, k: int) -> tuple[int, .
     return _permutation(_trial_seeds(cfg.master_seed, trial_index)[3], k)
 
 
+@dataclass
+class _SweepState:
+    """What the sweep points sharing one evaluator share besides it."""
+
+    #: Their rate rows, stacked (see ``_sweep_trial``), or None.
+    rate_rows: np.ndarray | None = None
+    #: Results per row, by key: one fixed-order SIC walk over the rows per
+    #: (order, eps) and ISU's decisions per ("ISU", eps), filled by the
+    #: first run on that key.
+    walks: dict = field(default_factory=dict)
+    #: (V-BLAST order, mults that found it), filled by the first SIC_VBLAST
+    #: run: the order does not depend on the rates.
+    vblast: tuple[tuple[int, ...], int] | None = None
+
+
+_states: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _sweep_state(ev: RateEvaluator) -> _SweepState:
+    """The sweep state of an evaluator, made empty on first use and dropped
+    with the evaluator."""
+    found = _states.get(ev)
+    if found is None:
+        found = _states[ev] = _SweepState()
+    return found
+
+
 def _per_row(ev, key, rates, solve):
     """solve(rows)'s result for one rate row.  One solve per (evaluator,
     key) serves every rate row the evaluator carries, or the rates it is
     first run on when it carries none; other rates are solved alone."""
     rr = np.asarray(rates, dtype=float)
-    found = ev.walks.get(key)
+    state = _sweep_state(ev)
+    found = state.walks.get(key)
     if found is None:
-        rows = rr[None, :] if ev.rate_rows is None else ev.rate_rows
-        found = ev.walks[key] = {row.tobytes(): res for row, res in zip(rows, solve(rows))}
+        rows = rr[None, :] if state.rate_rows is None else state.rate_rows
+        found = state.walks[key] = {row.tobytes(): res for row, res in zip(rows, solve(rows))}
     hit = found.get(rr.tobytes())
     return hit if hit is not None else solve(rr[None, :])[0]
 
@@ -144,10 +173,11 @@ def _one_at_a_time(name, ev, h, rates, gamma, random_order, eps) -> DecodeOutcom
         else:
             # SIC_VBLAST: the order does not depend on the rates, so it is found
             # once per evaluator; its evaluations are counted at every point
-            if ev.vblast is None:
+            state = _sweep_state(ev)
+            if state.vblast is None:
                 found = MultCounter()
-                ev.vblast = (decoders.vblast_order(ev, gamma, counter=found), found.total)
-            order, mults = ev.vblast
+                state.vblast = (decoders.vblast_order(ev, gamma, counter=found), found.total)
+            order, mults = state.vblast
         order = tuple(order)
         done, walked = _per_row(ev, (order, eps), rates, lambda rows: decoders.walk_order(ev, rows, order, eps))
         mults += walked
@@ -230,7 +260,7 @@ def _sweep_trial(args) -> list[dict[str, tuple[int, int]]]:
             ev = RateEvaluator(h, gamma)
             # the points up to the next change of K share it, and so its
             # fixed-order walks: every r_G point in equal-rate mode
-            ev.rate_rows = np.array(list(takewhile(lambda row: len(row) == k, rates[j:])))
+            _sweep_state(ev).rate_rows = np.array(list(takewhile(lambda row: len(row) == k, rates[j:])))
             rand_order = _permutation(order_ss, k)
         res = run_algorithms(ev, h, rates[j], gamma, cfg.algorithms, rand_order)
         out.append({tok: (o.n_decoded, o.mult_count) for tok, o in res.items()})

@@ -90,15 +90,6 @@ class RateEvaluator:
         self._cap: dict[tuple[int, ...], float] = {(): 0.0}
         self._inv: dict[tuple[int, ...], np.ndarray] = {}
         self._table: np.ndarray | None = None
-        #: (V-BLAST order, mults that found it) on this channel, filled by
-        #: the first SIC_VBLAST run: the order does not depend on the rates.
-        self.vblast: tuple[tuple[int, ...], int] | None = None
-        #: Rate rows of the sweep points that share this evaluator, stacked,
-        #: and their results per key, filled by the first run on that key
-        #: (see ``montecarlo``): one fixed-order SIC walk over them per
-        #: (order, eps) and ISU's decisions per ("ISU", eps).
-        self.rate_rows: np.ndarray | None = None
-        self.walks: dict[tuple, dict[bytes, tuple[tuple[int, ...], int]]] = {}
 
     def capacity(self, ids: Sequence[int]) -> float:
         """C(A) = log2 det(I + g H_A^H H_A) for a set of column indices."""
@@ -113,20 +104,10 @@ class RateEvaluator:
         return val
 
     def capacity_table(self) -> np.ndarray:
-        """C(A) for every column set A, indexed by the bitmask of A; built
-        once, with one batched Cholesky per set size, for K <= TABLE_LIMIT.
-        Each entry is ``capacity(A)`` bit for bit: the same factor of the
-        same submatrix, and the same sum of log-diagonals."""
+        """C(A) for every column set A, indexed by the bitmask of A: this
+        evaluator's row of ``capacity_tables``, built once."""
         if self._table is None:
-            if self.k > TABLE_LIMIT:
-                raise ValueError(f"capacity table limited to K <= {TABLE_LIMIT}")
-            table = np.zeros(1 << self.k)
-            for size in range(1, self.k + 1):
-                idx, masks = subsets_of_size(self.k, size)
-                chol = np.linalg.cholesky(self.a[idx[:, :, None], idx[:, None, :]])
-                logs = np.log(np.real(np.diagonal(chol, axis1=1, axis2=2)))
-                table[masks] = 2.0 * LOG2E * logs.sum(axis=1)
-            self._table = table
+            capacity_tables([self])
         return self._table
 
     def whitened_inverse(self, ids: Sequence[int]) -> np.ndarray:
@@ -161,6 +142,31 @@ class RateEvaluator:
         if len(union) != len(s) + len(t):
             raise ValueError("decode set and interference set must be disjoint")
         return self.capacity(union) - self.capacity(t)
+
+
+def capacity_tables(evs: Sequence[RateEvaluator]) -> np.ndarray:
+    """``capacity_table()`` of each of a stack of evaluators with one K, one
+    row each.  The rows not yet built are built together, with one batched
+    Cholesky per set size over the stack of their ``a``, and each evaluator
+    keeps its row.  Each entry is ``capacity(A)`` bit for bit: the same
+    factor of the same submatrix, and the same sum of log-diagonals."""
+    k = evs[0].k
+    if any(ev.k != k for ev in evs):
+        raise ValueError("capacity tables are stacked for one K")
+    if k > TABLE_LIMIT:
+        raise ValueError(f"capacity table limited to K <= {TABLE_LIMIT}")
+    todo = [ev for ev in evs if ev._table is None]
+    if todo:
+        a = np.stack([ev.a for ev in todo])
+        table = np.zeros((len(todo), 1 << k))
+        for size in range(1, k + 1):
+            idx, masks = subsets_of_size(k, size)
+            chol = np.linalg.cholesky(a[:, idx[:, :, None], idx[:, None, :]])
+            logs = np.log(np.real(np.diagonal(chol, axis1=-2, axis2=-1)))
+            table[:, masks] = 2.0 * LOG2E * logs.sum(axis=-1)
+        for ev, row in zip(todo, table):
+            ev._table = row
+    return np.stack([ev._table for ev in evs])
 
 
 def brute_force_eval_count(k: int) -> int:

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
 from . import decoders
-from .rates import RateEvaluator
+from .rates import RateEvaluator, capacity_tables
 
 
 @dataclass
@@ -65,19 +66,53 @@ def random_instance(rng: np.random.Generator, k_max: int = 5, m_choices=(2, 4, 8
     return h, r, gamma
 
 
-def check_instance(h, r, gamma, mutation_eps: float = 0.0) -> tuple[list[tuple[str, str]], int]:
-    """All decoder invariants plus oracle equalities on one instance.
+#: Instances drawn and run before their checks are decided, together for
+#: the instances of a block that share K.  A constant, so the check arrays
+#: stay bounded for any instance count.
+BLOCK = 128
 
-    Returns the list of (kind, detail) violations, empty when everything
-    holds, and the size of the oracle's maximum decodable set.
-    """
-    problems: list[tuple[str, str]] = []
-    everyone = frozenset(range(h.shape[1]))
+
+def _run(h, r, gamma, eps):
+    """The algorithms on one instance: its evaluator, the SSA, GSA, LGSA:2
+    and LGSA:4 outcomes of one nested run, and ISU's decoded aircraft."""
     ev = RateEvaluator(h, gamma)
+    res_ssa, res_gsa, res_l2, res_l4 = decoders.successive(ev, r, (0, ev.k, 2, 4), eps)
+    (isu, _), = decoders.isu_rows(ev, [r], eps)
+    return ev, res_ssa, res_gsa, res_l2, res_l4, isu
 
-    res_ssa, res_gsa, res_l2, res_l4 = decoders.successive(ev, r, (0, ev.k, 2, 4), mutation_eps)
-    (isu, _), = decoders.isu_rows(ev, [r], mutation_eps)
 
+def _replay(evs, rows, runs, eps) -> list[list[tuple[str, tuple[int, ...]]]]:
+    """Every group of the SSA and GSA plans of a stack of instances with one
+    K, checked against its later groups plus the outage set, all in one
+    ``subsets_fit`` call.  Per instance: (algorithm, group) of each group
+    that fails, in plan order."""
+    replay = []  # (instance, name, group, bitmask of the later groups and the outage set)
+    for i, (_, res_ssa, res_gsa, *_) in enumerate(runs):
+        for name, res in (("SSA", res_ssa), ("GSA", res_gsa)):
+            later = set(res.decoded)
+            for grp in res.decode_plan:
+                later -= set(grp)
+                replay.append((i, name, grp, sum(1 << j for j in later | res.outage)))
+    failed: list[list] = [[] for _ in runs]
+    if replay:
+        k = evs[0].k
+        width = max(len(grp) for _, _, grp, _ in replay)
+        groups = [grp + (-1,) * (width - len(grp)) for _, _, grp, _ in replay]
+        inst, _, _, t = zip(*replay)
+        fits = decoders.subsets_fit(capacity_tables(evs), decoders.subset_sums(rows, k), inst,
+                                    decoders.subset_masks(groups, k), t, eps)
+        for (i, name, grp, _), fit in zip(replay, fits):
+            if not fit:
+                failed[i].append((name, grp))
+    return failed
+
+
+def _problems(run, failed, best_sic: int, max_set: int) -> list[tuple[str, str]]:
+    """One instance's violations, in check order, given its replay failures
+    and the sizes of the oracles' best SIC set and maximum decodable set."""
+    ev, res_ssa, res_gsa, res_l2, res_l4, isu = run
+    problems: list[tuple[str, str]] = []
+    everyone = frozenset(range(ev.k))
     for name, res in (("SSA", res_ssa), ("GSA", res_gsa), ("LGSA:2", res_l2)):
         if res.decoded | res.outage != everyone:
             problems.append(("partition", f"{name}: bad partition {res}"))
@@ -86,63 +121,75 @@ def check_instance(h, r, gamma, mutation_eps: float = 0.0) -> tuple[list[tuple[s
         planned = [i for grp in res.decode_plan for i in grp]
         if sorted(planned) != sorted(res.decoded):
             problems.append(("plan", f"{name}: plan does not partition decoded set"))
-
-    # plan replay: every group feasible against later groups plus outage
-    replay = []  # (name, group, bitmask of the later groups and the outage set)
-    for name, res in (("SSA", res_ssa), ("GSA", res_gsa)):
-        later = set(res.decoded)
-        for grp in res.decode_plan:
-            later -= set(grp)
-            replay.append((name, grp, sum(1 << i for i in later | res.outage)))
-    if replay:
-        width = max(len(grp) for _, grp, _ in replay)
-        groups = [grp + (-1,) * (width - len(grp)) for _, grp, _ in replay]
-        fits = decoders.subsets_fit(ev, decoders.subset_sums(r, ev.k), decoders.subset_masks(groups, ev.k),
-                                    [t for _, _, t in replay], mutation_eps)
-        for (name, grp, _), fit in zip(replay, fits):
-            if not fit:
-                problems.append(("plan", f"{name}: group {grp} infeasible on replay"))
-
-    _, best_sic = decoders.oracle_best_sic(ev, r, gamma)
-    if len(res_ssa.decoded) != len(best_sic):
-        problems.append(
-            ("ssa_optimality", f"SSA decoded {len(res_ssa.decoded)}, best order {len(best_sic)}")
-        )
-    max_set = decoders.oracle_max_set(ev, r, gamma)
-    if len(res_gsa.decoded) != len(max_set):
-        problems.append(
-            ("gsa_optimality", f"GSA decoded {len(res_gsa.decoded)}, oracle {len(max_set)}")
-        )
-
+    for name, grp in failed:
+        problems.append(("plan", f"{name}: group {grp} infeasible on replay"))
+    if len(res_ssa.decoded) != best_sic:
+        problems.append(("ssa_optimality", f"SSA decoded {len(res_ssa.decoded)}, best order {best_sic}"))
+    if len(res_gsa.decoded) != max_set:
+        problems.append(("gsa_optimality", f"GSA decoded {len(res_gsa.decoded)}, oracle {max_set}"))
     if not set(isu) <= res_ssa.decoded:
         problems.append(("containment", "ISU set not inside SSA set"))
     if not (
         len(res_ssa.decoded) <= len(res_l2.decoded) <= len(res_l4.decoded) <= len(res_gsa.decoded)
     ):
         problems.append(("containment", "SSA/LGSA/GSA size chain violated"))
-    return problems, len(max_set)
+    return problems
+
+
+def check_block(instances, mutation_eps: float = 0.0) -> list[tuple[list[tuple[str, str]], int]]:
+    """All decoder invariants plus oracle equalities on a block of instances
+    (H, r, gamma).  Each instance's algorithms run on their own; then the
+    plan replays and both oracles are decided at once for all instances of
+    the block with one K.
+
+    Per instance, in block order: the list of (kind, detail) violations,
+    empty when everything holds, and the size of the oracle's maximum
+    decodable set."""
+    runs = [_run(h, r, gamma, mutation_eps) for h, r, gamma in instances]
+    failed: list[list] = [[] for _ in runs]
+    best_sic, max_set = [0] * len(runs), [0] * len(runs)
+    by_k: dict[int, list[int]] = {}
+    for i, run in enumerate(runs):
+        by_k.setdefault(run[0].k, []).append(i)
+    for idx in by_k.values():
+        evs = [runs[i][0] for i in idx]
+        rows = np.array([instances[i][1] for i in idx], dtype=float)
+        for i, got in zip(idx, _replay(evs, rows, [runs[i] for i in idx], mutation_eps)):
+            failed[i] = got
+        for i, (_, got) in zip(idx, decoders.oracle_best_sic(evs, rows, None)):
+            best_sic[i] = len(got)
+        for i, got in zip(idx, decoders.oracle_max_set(evs, rows, None)):
+            max_set[i] = len(got)
+    return [(_problems(run, failed[i], best_sic[i], max_set[i]), max_set[i]) for i, run in enumerate(runs)]
+
+
+def check_instance(h, r, gamma, mutation_eps: float = 0.0) -> tuple[list[tuple[str, str]], int]:
+    """``check_block`` on one instance."""
+    return check_block([(h, r, gamma)], mutation_eps)[0]
 
 
 def run_validation(seed: int, instances: int, mutation_eps: float = 0.0) -> ValidationReport:
+    """Draw the instances from one stream, in ``BLOCK``s, and check each
+    block at once; the report lists violations in instance order."""
     if instances < 1:
         raise ValueError(f"need at least one instance, got {instances}")
     rng = np.random.default_rng(seed)
     report = ValidationReport(instances=instances)
-    for idx in range(instances):
-        h, r, gamma = random_instance(rng)
-        problems, n_dec = check_instance(h, r, gamma, mutation_eps)
-        k = h.shape[1]
-        bucket = "all" if n_dec == k else ("none" if n_dec == 0 else "partial")
-        report.decoded_histogram[bucket] = report.decoded_histogram.get(bucket, 0) + 1
-        for kind, detail in problems:
-            report.violations.append(
-                Violation(
-                    index=idx,
-                    seed=seed,
-                    kind=kind,
-                    detail=detail,
-                    h=[h.real.tolist(), h.imag.tolist()],
-                    r=list(map(float, r)),
+    for start in range(0, instances, BLOCK):
+        block = [random_instance(rng) for _ in range(min(BLOCK, instances - start))]
+        for idx, (h, r, _), (problems, n_dec) in zip(count(start), block, check_block(block, mutation_eps)):
+            k = h.shape[1]
+            bucket = "all" if n_dec == k else ("none" if n_dec == 0 else "partial")
+            report.decoded_histogram[bucket] = report.decoded_histogram.get(bucket, 0) + 1
+            for kind, detail in problems:
+                report.violations.append(
+                    Violation(
+                        index=idx,
+                        seed=seed,
+                        kind=kind,
+                        detail=detail,
+                        h=[h.real.tolist(), h.imag.tolist()],
+                        r=list(map(float, r)),
+                    )
                 )
-            )
     return report

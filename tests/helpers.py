@@ -176,6 +176,42 @@ def ref_oracle_best_sic(ev, r, eps=0.0):
     return best_order, frozenset(best_order[:best_len])
 
 
+def ref_check_instance(h, r, gamma, mutation_eps=0.0):
+    """``validation.check_instance`` one instance at a time, on the reference
+    oracles and a ``group_rate`` replay: (kind, detail) of each violation,
+    in check order, and the size of the maximum decodable set."""
+    problems = []
+    everyone = frozenset(range(h.shape[1]))
+    ev = RateEvaluator(h, gamma)
+    res_ssa, res_gsa, res_l2, res_l4 = decoders.successive(ev, r, (0, ev.k, 2, 4), mutation_eps)
+    (isu, _), = decoders.isu_rows(ev, [r], mutation_eps)
+    for name, res in (("SSA", res_ssa), ("GSA", res_gsa), ("LGSA:2", res_l2)):
+        if res.decoded | res.outage != everyone:
+            problems.append(("partition", f"{name}: bad partition {res}"))
+        if res.decoded & res.outage:
+            problems.append(("partition", f"{name}: overlapping sets {res}"))
+        planned = [i for grp in res.decode_plan for i in grp]
+        if sorted(planned) != sorted(res.decoded):
+            problems.append(("plan", f"{name}: plan does not partition decoded set"))
+    for name, res in (("SSA", res_ssa), ("GSA", res_gsa)):
+        later = set(res.decoded)
+        for grp in res.decode_plan:
+            later -= set(grp)
+            if not subset_conditions_hold(ev, r, grp, later | res.outage, None, mutation_eps):
+                problems.append(("plan", f"{name}: group {grp} infeasible on replay"))
+    _, best_sic = ref_oracle_best_sic(ev, r)
+    if len(res_ssa.decoded) != len(best_sic):
+        problems.append(("ssa_optimality", f"SSA decoded {len(res_ssa.decoded)}, best order {len(best_sic)}"))
+    max_set = ref_oracle_max_set(ev, r)
+    if len(res_gsa.decoded) != len(max_set):
+        problems.append(("gsa_optimality", f"GSA decoded {len(res_gsa.decoded)}, oracle {len(max_set)}"))
+    if not set(isu) <= res_ssa.decoded:
+        problems.append(("containment", "ISU set not inside SSA set"))
+    if not len(res_ssa.decoded) <= len(res_l2.decoded) <= len(res_l4.decoded) <= len(res_gsa.decoded):
+        problems.append(("containment", "SSA/LGSA/GSA size chain violated"))
+    return problems, len(max_set)
+
+
 def ref_prune_aircraft(ev, r, l_set, s_hat, counter, eps):
     while l_set:
         before = len(s_hat)

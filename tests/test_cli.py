@@ -1,19 +1,21 @@
 import json
 import os
+from collections import Counter
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 import noma_outage
-from helpers import config_dict
+from helpers import config_dict, ref_check_instance
 from noma_outage import decoders
 from noma_outage.cli import main, rows_to_csv
 from noma_outage.config import DEFAULT_ALGORITHMS, ConfigError, ScenarioConfig, config_from_dict, load_config
 from noma_outage.montecarlo import run_sweep
-from noma_outage.validation import run_validation
+from noma_outage.validation import BLOCK, random_instance, run_validation
 
 SMALL_YAML = dict(
     k_aircraft=4,
@@ -287,6 +289,26 @@ def test_validate_runs_gsa_once_per_instance(monkeypatch):
     assert report.passed
     assert sum(report.decoded_histogram.values()) == 20
     assert calls == [True] * 20
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, 0.05])
+def test_validation_blocks_match_one_instance_at_a_time(eps):
+    # a run's instances are the first ones of any longer run from its seed,
+    # so one reference loop over the longest serves every count
+    counts = (1, BLOCK - 1, BLOCK, BLOCK + 1)
+    rng = np.random.default_rng(4)
+    drawn = [random_instance(rng) for _ in range(max(counts))]
+    ref = [ref_check_instance(h, r, gamma, eps) for h, r, gamma in drawn]
+    assert any(problems for problems, _ in ref) == (eps != 0.0)
+    for n in counts:
+        report = run_validation(seed=4, instances=n, mutation_eps=eps)
+        got = [(v.index, v.kind, v.detail, v.r) for v in report.violations]
+        want = [(i, kind, detail, list(map(float, drawn[i][1])))
+                for i, (problems, _) in enumerate(ref[:n]) for kind, detail in problems]
+        assert got == want
+        buckets = ["all" if n_dec == h.shape[1] else "none" if n_dec == 0 else "partial"
+                   for (h, _, _), (_, n_dec) in zip(drawn[:n], ref)]
+        assert report.decoded_histogram == dict(Counter(buckets))
 
 
 # ---------------------------------------------------------------------------

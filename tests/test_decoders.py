@@ -616,6 +616,36 @@ def test_oracles_match_reference_loops(seed, k, eps, ties):
         assert oracle_best_sic(ev, r, gamma, eps) == helpers.ref_oracle_best_sic(ref, r, eps)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 7),
+    n=st.integers(1, 5),
+    eps=st.sampled_from([0.0, -0.1, 0.05]),
+    ties=st.lists(st.tuples(st.integers(1, 3), st.integers(0, 2**7 - 1), st.sampled_from([-1, 0, 1])), max_size=3),
+)
+def test_stacked_oracles_match_reference_loops(seed, k, n, eps, ties):
+    # n instances with one K and any M, decided at once; n = 1 is a stack of one
+    rng = np.random.default_rng(seed)
+    evs, rows = [], []
+    for _ in range(n):
+        h = random_channel(rng, int(rng.choice([1, 2, 4, 8])), k)
+        gamma = float(10.0 ** rng.uniform(0.0, 1.5))
+        single = np.log2(1.0 + gamma * np.sum(np.abs(h) ** 2, axis=0))
+        r = np.where(rng.random(k) < 0.15, 0.02, rng.uniform(0.25, 1.25, size=k)) * single
+        ev = RateEvaluator(h, gamma)
+        # as above: rate sums at, or one ulp either side of, a capacity threshold
+        for size, mask, ulp in ties:
+            group = sorted(rng.permutation(k)[: min(size, k)].tolist())
+            rest = {i for i in range(k) if mask >> i & 1} - set(group)
+            _put_tie(r, group, ev.group_rate(group, rest) + eps, ulp)
+        evs.append(ev)
+        rows.append(r)
+    rows = np.array(rows)
+    assert oracle_max_set(evs, rows, None, eps) == [helpers.ref_oracle_max_set(ev, r, eps) for ev, r in zip(evs, rows)]
+    assert oracle_best_sic(evs, rows, None, eps) == [helpers.ref_oracle_best_sic(ev, r, eps) for ev, r in zip(evs, rows)]
+
+
 # ---------------------------------------------------------------------------
 # outcome invariants
 # ---------------------------------------------------------------------------
@@ -907,6 +937,35 @@ def test_certificates_fire_on_most_random_states(monkeypatch):
                 assert decoders._subsets_hold(ev, w, r, c, t, None, 0.0)
     assert fruitless > 40 and certified >= 0.9 * fruitless
     assert feasible > 300 and feasible - len(fallbacks) >= 0.9 * feasible
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    eps=_EPS,
+    ties=st.lists(st.tuples(st.integers(0, 20), st.sampled_from([-1, 0, 1])), max_size=3),
+    chunk=st.sampled_from([1, 2, decoders._SCAN_CHUNK]),
+)
+def test_pair_scan_matches_reference_loop(seed, eps, ties, chunk):
+    # a pair's one-aircraft subset exactly at, or one ulp either side of, its
+    # threshold against U minus the pair, with the pair's own condition
+    # holding by a margin: pairs whose full check passes, in one chunk or many
+    ev, w, r, l_set, s_hat = _state(seed, None)
+    pairs = list(itertools.combinations(sorted(l_set), 2))
+    u = l_set | s_hat
+    for i, ulp in ties:
+        if pairs:
+            a, b = pairs[i % len(pairs)][:: 1 - 2 * (i % 2)]
+            t = u - {a, b}
+            r[a] = ev.group_rate((a,), t) + eps
+            r[a] = r[a] if ulp == 0 else np.nextafter(r[a], ulp * np.inf)
+            r[b] = 0.5 * (ev.group_rate((a, b), t) - ev.group_rate((a,), t))
+    counter, brute = MultCounter(), MultCounter()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decoders, "_SCAN_CHUNK", chunk)
+        got = decoders._scan_groups_of_size(ev, w, r, l_set, s_hat, 2, counter, eps)
+    want = next((c for c in pairs if subset_conditions_hold(ev, r, c, u - set(c), brute, eps)), None)
+    assert (got, counter.total) == (want, brute.total)
 
 
 @settings(max_examples=150, deadline=None)

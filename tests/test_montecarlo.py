@@ -203,7 +203,7 @@ def test_equal_rate_sweep_walks_each_order_once_per_trial(monkeypatch):
     assert len(orders) == cfg.trials
     for i, (ev, walked) in enumerate(orders.items()):
         h = build_trial_channel(cfg, i).h
-        used = {montecarlo._random_order(cfg, i, 4), ev.vblast[0]}
+        used = {montecarlo._random_order(cfg, i, 4), montecarlo._sweep_state(ev).vblast[0]}
         used.update(decoders.cgtr_order(h, np.full(4, r_g)) for r_g in cfg.r_g_list)
         assert sorted(walked) == sorted(used)
     walks.clear()
@@ -254,7 +254,7 @@ def test_fixed_order_rates_outside_the_rows_walk_alone():
     gamma = LinkBudget.from_config(cfg).snr_linear
     order = tuple(range(cfg.k_aircraft))
     ev = RateEvaluator(h, gamma)
-    ev.rate_rows = np.array([np.full(4, 2.0), np.full(4, 6.0)])
+    montecarlo._sweep_state(ev).rate_rows = np.array([np.full(4, 2.0), np.full(4, 6.0)])
     for rates in (np.full(4, 6.0), np.full(4, 4.0), np.array([2.0, 6.0, 2.0, 6.0])):
         shared = run_algorithms(ev, h, rates, gamma, cfg.algorithms, order)
         assert shared == run_algorithms(RateEvaluator(h, gamma), h, rates, gamma, cfg.algorithms, order)

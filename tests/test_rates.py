@@ -6,7 +6,7 @@ import pytest
 
 from helpers import direct_group_rate, random_channel, subset_conditions_hold
 from noma_outage.channel import LinkBudget
-from noma_outage.rates import MultCounter, RateEvaluator, brute_force_eval_count
+from noma_outage.rates import MultCounter, RateEvaluator, brute_force_eval_count, capacity_tables
 
 
 def group_rate(h, s, t, gamma, counter=None):
@@ -150,6 +150,29 @@ def test_capacity_table_is_capacity_bit_for_bit(k):
         for size in range(k + 1):
             for s in itertools.combinations(range(k), size):
                 assert table[sum(1 << i for i in s)] == ev.capacity(s), s
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_stacked_capacity_tables_are_capacity_bit_for_bit(k):
+    rng = np.random.default_rng(100 + k)
+    # one K, any M: M < K is rank-deficient; the third evaluator's row is
+    # built alone first, so the stack builds the others around it
+    evs = [RateEvaluator(random_channel(rng, m, k), float(10.0 ** rng.uniform(-1, 3)))
+           for m in (max(k // 2, 1), k, 64, 3)]
+    alone = evs[2].capacity_table()
+    tables = capacity_tables(evs)
+    assert tables.shape == (len(evs), 2**k) and evs[2].capacity_table() is alone
+    for ev, table in zip(evs, tables):
+        assert np.array_equal(ev.capacity_table(), table)
+        for size in range(k + 1):
+            for s in itertools.combinations(range(k), size):
+                assert table[sum(1 << i for i in s)] == ev.capacity(s), s
+
+
+def test_stacked_capacity_tables_need_one_k():
+    rng = np.random.default_rng(2)
+    with pytest.raises(ValueError):
+        capacity_tables([RateEvaluator(random_channel(rng, 2, 3), 1.0), RateEvaluator(random_channel(rng, 2, 4), 1.0)])
 
 
 def test_capacity_table_size_limit():
