@@ -14,8 +14,6 @@ import numbers
 from dataclasses import dataclass, field
 from typing import Any
 
-import yaml
-
 EQUAL_RATE = "equal_rate"
 VARIABLE_RATE = "variable_rate"
 
@@ -228,6 +226,8 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 
 def load_config(path: str) -> ScenarioConfig:
     """Load a YAML config file; missing keys fall back to the defaults."""
+    import yaml  # only a --config launch pays for loading it
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = yaml.safe_load(fh)

@@ -496,129 +496,147 @@ def gsa(h, r, gamma, eps=0.0) -> DecodeOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Fixed-order decoding and ordering baselines
+# One-at-a-time decoders: ISU, V-BLAST and fixed-order SIC
 # ---------------------------------------------------------------------------
 
-def _split(ok, want) -> dict:
-    """Rows of a decision stack by the first position whose decision is
-    ``want``; rows with none are under None."""
-    groups: dict = {}
-    for i, j in enumerate((ok if want else ~ok).argmax(axis=1).tolist()):
-        groups.setdefault(j if ok[i, j] == want else None, []).append(i)
-    return groups
+#: The order of a problem that decides every aircraft against all the others.
+ISU = "ISU"
+#: The order of a problem that walks its evaluator's V-BLAST order.
+VBLAST = "V-BLAST"
 
 
-def walk_order(ev: RateEvaluator, rows, order: Sequence[int], eps=0.0) -> list[tuple[tuple[int, ...], int]]:
-    """Walk a fixed decoding order once for a stack of rate rows.  Per row:
-    the aircraft it decodes, in decode order, and the mults a walk of that
-    row alone is charged.  A failed aircraft stays as interference for
-    everyone after it (it is never cancelled).
+def one_at_a_time(evs: Sequence[RateEvaluator], problems, eps=0.0) -> list[tuple[tuple[int, ...], int]]:
+    """ISU, V-BLAST searches and fixed-order SIC walks on a stack of
+    evaluators of any K, in one loop over positions.
 
-    Rows that have decoded the same prefix share one W, kept in order
-    coordinates and cut to the positions not yet tried, and a group of rows
-    splits only where its rows' decisions differ.  A row's walk alternates
-    two kinds of run, each decided in one step.  Up to its next decode a
-    row fails against one set of interferers, so W's diagonal decides that
-    run.  From a decode on, the run of decodes is decided on the chain rates
-    of the Cholesky factor of W from there, the rate of each position when
-    everything before it in the run is decoded; the Schur complement of the
-    decoded run is the next W.  Each position is tried once per row, against
-    everyone that row has not decoded, and charged as such."""
-    k = ev.k
-    if sorted(order) != list(range(k)):
+    A problem (e, row, order) is evs[e], a rate row and an order: a
+    permutation (SIC in that order, a failed aircraft left interfering),
+    ``VBLAST`` (SIC in the order ``vblast_order`` finds on evs[e], or with
+    row None the search alone) or ``ISU``.  Per problem: the aircraft it
+    decodes, in decode order, and the mults of a lone run of it, a V-BLAST
+    walk's search included.  A search or walk keeps the diagonal s of the
+    Schur complement of W's Hermitian part and a left-looking factor C with
+    one column per pivot: pivoting x at step j makes
+    c = (W[:, x] - C[:, :j] C[x, :j]^H) / sqrt(s_x) and s -= |c|^2, and
+    -log2 s_x is x's rate against everyone not pivoted out.  Each decision
+    goes through ``_decide``; each aircraft tried against t others is
+    charged eval_cost(m, 1, t), in closed form."""
+    out: list = [None] * len(problems)
+    kmax = max((ev.k for ev in evs), default=0)
+    ks, ms = np.array([ev.k for ev in evs], dtype=np.int64), np.array([ev.m for ev in evs], dtype=np.int64)
+    w = np.zeros((len(evs), kmax, kmax), dtype=complex)
+    for e, ev in enumerate(evs):
+        inv = ev.whitened_inverse(range(ev.k))
+        w[e, : ev.k, : ev.k] = (inv + inv.conj().T) / 2.0
+    s0 = np.where(np.arange(kmax) < ks[:, None], np.diagonal(w, axis1=1, axis2=2).real, np.inf)
+    need = np.zeros((len(problems), kmax))  # each problem's rates, zero past its K
+    for i, (e, row, _) in enumerate(problems):
+        need[i, : evs[e].k] = 0.0 if row is None else row
+
+    kinds = [order if isinstance(order, str) else None for _, _, order in problems]
+    isu = [i for i, kind in enumerate(kinds) if kind == ISU]
+    at = np.array([problems[i][0] for i in isu], dtype=np.intp)
+    ok = _decide(need[isu], -np.log2(s0[at]), eps, lambda j: evs[at[j // kmax]].group_rate(
+        (j % kmax,), set(range(evs[at[j // kmax]].k)) - {j % kmax}))
+    for i, e, row in zip(isu, at.tolist(), ok):
+        out[i] = (tuple(np.flatnonzero(row).tolist()), evs[e].k * eval_cost(evs[e].m, 1, evs[e].k - 1))
+
+    # the problems that pivot, one row each: a search per evaluator a V-BLAST
+    # problem is on, by K up, then the walks, by K down, so that the rows
+    # whose K is past a step are the two ends.  A search's rates are the most
+    # negative float, so that it decodes every aircraft it picks.
+    searched = sorted(dict.fromkeys(e for (e, _, _), kind in zip(problems, kinds) if kind == VBLAST),
+                      key=lambda e: evs[e].k)
+    walks = sorted((i for i, kind in enumerate(kinds) if kind != ISU and problems[i][1] is not None),
+                   key=lambda i: -evs[problems[i][0]].k)
+    n_s, on = len(searched), np.array(searched + [problems[i][0] for i in walks], dtype=np.intp)
+    if not on.size:
+        return out
+    src = np.array([searched.index(problems[i][0]) if kinds[i] else -1 for i in walks], dtype=np.intp)
+    tried = np.tile(np.arange(kmax), (len(on), 1))  # each row's aircraft by position, past K the position
+    for n, i in enumerate(walks):
+        if src[n] < 0:
+            tried[n_s + n, : evs[problems[i][0]].k] = problems[i][2]
+    if (np.sort(tried, axis=1) != np.arange(kmax)).any():
         raise ValueError("order must be a permutation of all aircraft")
-    order = np.asarray(order, dtype=np.intp)
-    rows = np.asarray(rows, dtype=float)
-    everyone = frozenset(range(k))
-    out: list = [None] * len(rows)
+    need = np.vstack([np.full((n_s, kmax), -np.finfo(float).max), need[walks]])
+    k_on, m_on, s = ks[on], ms[on], s0[on]
+    c = np.zeros((len(on), kmax, kmax), dtype=complex)  # c[q, j]: row q's pivot column at step j
+    decoded = np.zeros((len(on), kmax), dtype=bool)
+    by_search = n_s + (src >= 0).nonzero()[0]
+    live = k_on[:, None] > np.arange(kmax)
+    ends = zip((n_s - live[:n_s].sum(axis=0)).tolist(), (n_s + live[n_s:].sum(axis=0)).tolist())
+    for j, (lo, hi) in enumerate(ends):  # the rows whose K is past step j: lo:hi
+        if lo < n_s:
+            fast = -np.log2(s[lo:n_s])
+            best = fast.argmax(axis=1)
+            near = fast >= fast.max(axis=1, keepdims=True) - TIE
+            for q in (near.sum(axis=1) > 1).nonzero()[0]:
+                ev, cand = evs[on[lo + q]], near[q].nonzero()[0].tolist()
+                rest = set(range(ev.k)).difference(tried[lo + q, :j].tolist())
+                best[q] = cand[int(np.argmax([ev.group_rate((x,), rest - {x}) for x in cand]))]
+            tried[lo:n_s, j] = best
+            tried[by_search, j] = tried[src[by_search - n_s], j]
+        rows, x = np.arange(lo, hi), tried[lo:hi, j]
+        s_x = s[rows, x]
 
-    def reference(decoded, x):
-        return ev.group_rate((x,), everyone.difference(decoded, (x,)))
+        def reference(n, x=x.copy()):
+            ev, done = evs[on[lo + n]], tried[lo + n, :j][decoded[lo + n, :j]].tolist()
+            return ev.group_rate((int(x[n]),), set(range(ev.k)).difference(done, (int(x[n]),)))
 
-    def charged(t, n):  # n positions tried against t, t - 1, ... interferers
-        return sum(eval_cost(ev.m, 1, t - i) for i in range(n))
+        decoded[lo:hi, j] = _decide(need[rows, x], -np.log2(s_x), eps, reference)
+        # every row's column at x is formed, and kept where it decodes
+        col = w[on[lo:hi], :, x] - (c[rows, None, :j, x].conj() @ c[lo:hi, :j])[:, 0]
+        col *= (decoded[lo:hi, j] / np.sqrt(s_x))[:, None]
+        c[lo:hi, j] = col
+        s[lo:hi] -= np.abs(col) ** 2
+        s[rows[: n_s - lo], x[: n_s - lo]] = np.inf
 
-    # (rows of the group, their rates on the positions left, W on those
-    # positions, aircraft decoded so far, mults so far); W's Hermitian part,
-    # since a Cholesky factor reads one triangle
-    w = ev.whitened_inverse(range(k))[order[:, None], order]
-    stack = [(list(range(len(rows))), rows[:, order], (w + w.conj().T) / 2.0, (), 0)]
-    while stack:
-        idx, need, w, done, mults = stack.pop()
-        n, t = len(w), k - 1 - len(done)
-        pos = order[k - n :].tolist()
-        ok = _decide(need, -np.log2(w.diagonal().real), eps, lambda j: reference(done, pos[j % n]))
-        for f, sel in _split(ok, True).items():  # failures up to a decode at f
-            base = mults + (n if f is None else f + 1) * eval_cost(ev.m, 1, t)
-            if f is None or f + 1 == n:  # no position left
-                for i in sel:
-                    out[idx[i]] = (done if f is None else done + (pos[f],), base)
-                continue
-            run, left = pos[f:], n - f - 1
-            chol = np.linalg.cholesky(w[f:, f:])
-            run_need = need[sel, f + 1 :] if len(sel) < len(idx) else need[:, f + 1 :]
-            ok = _decide(run_need, -2.0 * np.log2(chol.diagonal().real[1:]), eps,
-                         lambda j: reference(done + tuple(run[: 1 + j % left]), run[1 + j % left]))
-            for j, sel2 in _split(ok, False).items():  # decodes up to a failure at run[j + 1]
-                if j is None:
-                    child = (done + tuple(run), base + charged(t - 1, left))
-                else:
-                    child = (done + tuple(run[: j + 1]), base + charged(t - 1, j + 1))
-                rows2 = [idx[sel[i]] for i in sel2]
-                if j is None or j + 1 == left:  # no position left
-                    for r in rows2:
-                        out[r] = child
-                    continue
-                x = chol[j + 2 :, j + 1 :]  # W after the failure: the decoded run pivoted out
-                stack.append((rows2, run_need[sel2, j + 1 :], x @ x.conj().T, *child))
+    # a step tries `left` aircraft of a search and one of a walk, each against
+    # everyone the row has not decoded but itself
+    left, m = k_on[:, None] - np.arange(kmax), m_on[:, None]
+    t = k_on[:, None] - 1 - np.cumsum(decoded, axis=1) + decoded
+    cost = np.where(left > 0, np.where(t > 0, m * m * (1 + t) + 2 * m**3, m * m), 0)
+    mults = (cost * np.where(np.arange(len(on))[:, None] < n_s, left, 1)).sum(axis=1)
+    mults[n_s:] += np.where(src >= 0, mults[src], 0)  # a V-BLAST walk's search
+    row_of = {i: n_s + n for n, i in enumerate(walks)}
+    row_of.update((i, searched.index(e)) for i, (e, row, _) in enumerate(problems)
+                  if kinds[i] == VBLAST and row is None)
+    for i, q in row_of.items():
+        out[i] = (tuple(tried[q][decoded[q]].tolist()), int(mults[q]))
     return out
 
 
-def vblast_order(h, gamma, counter=None) -> tuple[int, ...]:
+def vblast_order(h, gamma=None, counter=None, walks=None, eps=0.0):
     """Highest post-detection SINR first: each step picks the aircraft with
     the largest achievable rate under the not-yet-selected interferers.
-    Ties break to the lowest index.  The order depends only on the channel."""
-    ev = _as_evaluator(h, gamma)
-    w = ev.whitened_inverse(range(ev.k)).copy()
-    remaining = list(range(ev.k))
-    order: list[int] = []
-    while remaining:
-        fast = -np.log2(w[remaining, remaining].real)
-        _charge(ev, counter, len(remaining), 1, len(remaining) - 1)
-        best = int(np.argmax(fast))
-        near = np.flatnonzero(fast >= fast[best] - TIE)
-        if near.size > 1:
-            rest = set(remaining)
-            ref = [ev.group_rate((remaining[j],), rest - {remaining[j]}) for j in near]
-            best = int(near[int(np.argmax(ref))])
-        order.append(remaining.pop(best))
-        _eliminate(w, order[-1])
-    return tuple(order)
+    Ties break to the lowest index.  The order depends only on the channel.
+    Returns it for one channel or evaluator ``h``, the search's evaluations
+    charged to ``counter``; with ``walks`` on a stack ``h``, it is
+    ``one_at_a_time(h, walks, eps)``, as a sweep trial runs its baselines."""
+    if walks is not None:
+        return one_at_a_time(h, walks, eps)
+    ((order, mults),) = one_at_a_time([_as_evaluator(h, gamma)], [(0, None, VBLAST)])
+    if counter is not None:
+        counter.add(mults)
+    return order
 
 
-def cgtr_order(h, r) -> tuple[int, ...]:
+def cgtr_order(h, r):
     """Channel-gain-and-transmission-rate ordering: decreasing
-    ||h_k||^2 (1 + 1/(2^{r_k} + 1)), ties to the lowest index."""
+    ||h_k||^2 (1 + 1/(2^{r_k} + 1)), ties to the lowest index.  A 2-D ``r``
+    stacks rate rows, each on the first columns of ``h`` it has rates for
+    (NaN after them): one order per row from one stable argsort, each the
+    order of that row on those columns alone."""
     hm = np.asarray(h, dtype=complex)
-    rr = np.asarray(r, dtype=float)
-    gains = np.sum(np.abs(hm) ** 2, axis=0)
-    keys = gains * (1.0 + 1.0 / (2.0**rr + 1.0))
-    return tuple(np.argsort(-keys, kind="stable").tolist())
-
-
-def isu_rows(ev: RateEvaluator, rows, eps=0.0) -> list[tuple[tuple[int, ...], int]]:
-    """Independent single-user decoders for a stack of rate rows: everyone
-    else is noise.  Per row: the aircraft it decodes, in index order, and
-    the mults a run on that row alone is charged.  ISU's rates depend only
-    on the channel, so one decision stack serves every row."""
-    rows = np.asarray(rows, dtype=float)
-    k = ev.k
-    everyone = set(range(k))
-    w = ev.whitened_inverse(everyone)
-    ok = _decide(rows, -np.log2(np.diagonal(w).real), eps,
-                 lambda j: ev.group_rate((int(j) % k,), everyone - {int(j) % k}))
-    mults = k * eval_cost(ev.m, 1, k - 1)
-    return [(tuple(np.flatnonzero(row).tolist()), mults) for row in ok]
+    rows = np.atleast_2d(np.asarray(r, dtype=float))
+    lengths = (~np.isnan(rows)).sum(axis=1)
+    keys = np.full(rows.shape, np.nan)  # sorts last
+    for k in set(lengths.tolist()):  # gains summed on k columns, as a call on them sums them
+        gains = np.sum(np.abs(hm[:, :k]) ** 2, axis=0)
+        keys[lengths == k, :k] = gains * (1.0 + 1.0 / (2.0 ** rows[lengths == k, :k] + 1.0))
+    orders = [tuple(o[:k].tolist()) for o, k in zip(np.argsort(-keys, kind="stable"), lengths)]
+    return orders if np.ndim(r) == 2 else orders[0]
 
 
 # ---------------------------------------------------------------------------

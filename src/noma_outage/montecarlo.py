@@ -12,8 +12,11 @@ A sweep evaluates every trial at a list of sweep points (K, r_G).  Aircraft
 and variable rates are drawn one after another from their streams, so the
 channel and rates of K aircraft are the first K columns and entries of the
 largest K's; each trial builds one channel, at the largest K, and every point
-reads a prefix of it.  Consecutive points with the same K share an evaluator,
-and a fixed-order SIC baseline walks each of its orders once for all of them.
+reads a prefix of it.  Consecutive points with the same K share an evaluator.
+The one-at-a-time baselines (ISU and SIC in random, CGTR and V-BLAST order)
+of every point of a trial run first, as one stack of problems in one
+lockstep loop (``decoders.one_at_a_time``, through ``decoders.vblast_order``),
+and each point's run reads its outcomes off that stack.
 """
 
 from __future__ import annotations
@@ -21,9 +24,8 @@ from __future__ import annotations
 import threading
 import weakref
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import takewhile
 from math import sqrt
 from typing import Iterable
 
@@ -34,7 +36,7 @@ from .channel import ChannelMatrix, LinkBudget, channel_matrix
 from .config import EQUAL_RATE, VARIABLE_RATE, ScenarioConfig, parse_algorithm
 from .decoders import DecodeOutcome
 from .geometry import GeoPoint, ReflectorMap, _gauss_legendre, build_reflector_map, scenario_geometry
-from .rates import MultCounter, RateEvaluator
+from .rates import RateEvaluator
 
 
 @dataclass(frozen=True)
@@ -117,72 +119,19 @@ def _random_order(cfg: ScenarioConfig, trial_index: int, k: int) -> tuple[int, .
     return _permutation(_trial_seeds(cfg.master_seed, trial_index)[3], k)
 
 
-@dataclass
-class _SweepState:
-    """What the sweep points sharing one evaluator share besides it."""
+#: The baselines that decode one aircraft at a time, each run as one problem
+#: of ``decoders.one_at_a_time``.
+_BASELINES = ("ISU", "SIC_RANDOM", "SIC_CGTR", "SIC_VBLAST")
 
-    #: Their rate rows, stacked (see ``_sweep_trial``), or None.
-    rate_rows: np.ndarray | None = None
-    #: Results per row, by key: one fixed-order SIC walk over the rows per
-    #: (order, eps) and ISU's decisions per ("ISU", eps), filled by the
-    #: first run on that key.
-    walks: dict = field(default_factory=dict)
-    #: (V-BLAST order, mults that found it), filled by the first SIC_VBLAST
-    #: run: the order does not depend on the rates.
-    vblast: tuple[tuple[int, ...], int] | None = None
+#: Baseline outcomes found for a sweep trial, kept by evaluator and dropped
+#: with it: {evaluator: {``_key``: DecodeOutcome}}.
+_found: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-_states: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _sweep_state(ev: RateEvaluator) -> _SweepState:
-    """The sweep state of an evaluator, made empty on first use and dropped
-    with the evaluator."""
-    found = _states.get(ev)
-    if found is None:
-        found = _states[ev] = _SweepState()
-    return found
-
-
-def _per_row(ev, key, rates, solve):
-    """solve(rows)'s result for one rate row.  One solve per (evaluator,
-    key) serves every rate row the evaluator carries, or the rates it is
-    first run on when it carries none; other rates are solved alone."""
-    rr = np.asarray(rates, dtype=float)
-    state = _sweep_state(ev)
-    found = state.walks.get(key)
-    if found is None:
-        rows = rr[None, :] if state.rate_rows is None else state.rate_rows
-        found = state.walks[key] = {row.tobytes(): res for row, res in zip(rows, solve(rows))}
-    hit = found.get(rr.tobytes())
-    return hit if hit is not None else solve(rr[None, :])[0]
-
-
-def _one_at_a_time(name, ev, h, rates, gamma, random_order, eps) -> DecodeOutcome:
-    """ISU or a fixed-order SIC baseline: (aircraft decoded, mults) from one
-    ``isu_rows`` or ``walk_order`` call per evaluator.  The plan lists the
-    decoded aircraft one by one, in decode order (index order for ISU)."""
-    if name == "ISU":
-        done, mults = _per_row(ev, ("ISU", eps), rates, lambda rows: decoders.isu_rows(ev, rows, eps))
-    else:
-        mults = 0
-        if name == "SIC_RANDOM":
-            order = random_order
-        elif name == "SIC_CGTR":
-            order = decoders.cgtr_order(h, rates)
-        else:
-            # SIC_VBLAST: the order does not depend on the rates, so it is found
-            # once per evaluator; its evaluations are counted at every point
-            state = _sweep_state(ev)
-            if state.vblast is None:
-                found = MultCounter()
-                state.vblast = (decoders.vblast_order(ev, gamma, counter=found), found.total)
-            order, mults = state.vblast
-        order = tuple(order)
-        done, walked = _per_row(ev, (order, eps), rates, lambda rows: decoders.walk_order(ev, rows, order, eps))
-        mults += walked
-    decoded = frozenset(done)
-    return DecodeOutcome(decoded, frozenset(range(ev.k)) - decoded, tuple((i,) for i in done), mults)
+def _key(name, rates, random_order, eps) -> tuple:
+    """What a baseline's outcome on one evaluator depends on."""
+    rates = np.asarray(rates, dtype=float).tobytes()
+    return name, eps, rates, tuple(random_order) if name == "SIC_RANDOM" else None
 
 
 def run_algorithms(
@@ -195,15 +144,20 @@ def run_algorithms(
     eps: float = 0.0,
 ) -> dict[str, DecodeOutcome]:
     """Run the selected algorithms on one realization; shared evaluator,
-    per-algorithm counters."""
-    results: dict[str, DecodeOutcome] = {}
+    per-algorithm counters.  The baselines are read off the evaluator's
+    sweep trial stack (``_share_baselines``), or else run as a stack of
+    their own."""
+    keys: dict[str, tuple] = {}
     limits: dict[str, int] = {}
     for token in algorithms:
         name, v_max = parse_algorithm(token)
         if name in ("SSA", "LGSA", "GSA"):
             limits[token] = {"SSA": 0, "LGSA": v_max, "GSA": ev.k}[name]
         else:
-            results[token] = _one_at_a_time(name, ev, h, rates, gamma, random_order, eps)
+            keys[token] = _key(name, rates, random_order, eps)
+    if not all(key in _found.get(ev, ()) for key in keys.values()):  # a lone point: a stack of one
+        _share_baselines([key[0] for key in keys.values()], h, [ev], [0], [rates], [random_order], eps)
+    results = {token: _found[ev][key] for token, key in keys.items()}
     if limits:  # SSA, LGSA:v and GSA read off one run of the nested family
         results.update(zip(limits, decoders.successive(ev, rates, list(limits.values()), eps)))
     return results
@@ -242,7 +196,8 @@ def _sweep_trial(args) -> list[dict[str, tuple[int, int]]]:
 
     The channel (and, in variable-rate mode, the rate draw) is built once at
     the largest K; a point with K aircraft runs on its first K columns and
-    rates, with its own evaluator and random order whenever K changes.
+    rates, with its own evaluator and random order whenever K changes.  The
+    baselines of every point run first, as one stack (``_share_baselines``).
     Returns per-point {token: (n_decoded, mults)}."""
     cfg, trial_index = args
     points = _sweep_points(cfg)
@@ -252,19 +207,42 @@ def _sweep_trial(args) -> list[dict[str, tuple[int, int]]]:
     drawn = draw_variable_rates(cfg_max, trial_index) if cfg.rate_mode == VARIABLE_RATE else None
     rates = [np.full(k, r_g) if drawn is None else drawn[:k] for k, r_g in points]
     order_ss = _trial_seeds(cfg.master_seed, trial_index)[3]
-    ev = None
+    evs: list[RateEvaluator] = []
+    at = []  # the evaluator of each point: the points up to the next change of K share one
+    for k, _ in points:
+        if not evs or evs[-1].k != k:
+            evs.append(RateEvaluator(h_max[:, :k], gamma))
+        at.append(len(evs) - 1)
+    random_orders = [_permutation(order_ss, ev.k) for ev in evs]
+    names = [name for name in (parse_algorithm(tok)[0] for tok in cfg.algorithms) if name in _BASELINES]
+    if names:
+        _share_baselines(names, h_max, evs, at, rates, random_orders)
     out = []
-    for j, (k, _) in enumerate(points):
-        h = h_max[:, :k]
-        if ev is None or ev.k != k:
-            ev = RateEvaluator(h, gamma)
-            # the points up to the next change of K share it, and so its
-            # fixed-order walks: every r_G point in equal-rate mode
-            _sweep_state(ev).rate_rows = np.array(list(takewhile(lambda row: len(row) == k, rates[j:])))
-            rand_order = _permutation(order_ss, k)
-        res = run_algorithms(ev, h, rates[j], gamma, cfg.algorithms, rand_order)
+    for e, rr in zip(at, rates):
+        ev = evs[e]
+        res = run_algorithms(ev, h_max[:, : ev.k], rr, gamma, cfg.algorithms, random_orders[e])
         out.append({tok: (o.n_decoded, o.mult_count) for tok, o in res.items()})
     return out
+
+
+def _share_baselines(names, h_max, evs, at, rates, random_orders, eps=0.0) -> None:
+    """Run the baselines ``names`` at every sweep point of a trial, point j
+    on evaluator at[j] with rates[j], as one stack of problems, V-BLAST
+    searches included, and keep each outcome with its evaluator in
+    ``_found``.  The CGTR orders come from one argsort over the stacked
+    rate rows; each outcome's plan decodes one aircraft per group."""
+    rows = np.full((len(rates), h_max.shape[1]), np.nan)
+    for row, rr in zip(rows, rates):
+        row[: len(rr)] = rr
+    cgtr = decoders.cgtr_order(h_max, rows) if "SIC_CGTR" in names else [None] * len(rates)
+    runs = [(e, name, rr, {"ISU": decoders.ISU, "SIC_RANDOM": random_orders[e], "SIC_CGTR": order,
+                           "SIC_VBLAST": decoders.VBLAST}[name])
+            for e, rr, order in zip(at, rates, cgtr) for name in names]
+    found = decoders.vblast_order(evs, walks=[(e, rr, order) for e, _, rr, order in runs], eps=eps)
+    for (e, name, rr, _), (done, mults) in zip(runs, found):
+        decoded = frozenset(done)
+        outcome = DecodeOutcome(decoded, frozenset(range(evs[e].k)) - decoded, tuple((i,) for i in done), mults)
+        _found.setdefault(evs[e], {})[_key(name, rr, random_orders[e], eps)] = outcome
 
 
 def _map_trials(tasks, threads: int) -> list:

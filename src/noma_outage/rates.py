@@ -18,8 +18,8 @@ exactly.  This is the reference path.  The decoders read the same rates off
 one eliminated K x K array per loop (see ``decoders``): the Schur complement
 of I + g H^H H on the outage set for the prunes, and for every other loop a
 copy of the full-set inverse ``RateEvaluator.whitened_inverse(range(K))``,
-from which each decoded aircraft is pivoted out (the fixed-order walk
-factors it instead, once per run of decodes).  Any decision within
+from which each decoded aircraft is pivoted out (the one-at-a-time
+decoders factor it instead, one column per pivot).  Any decision within
 ``decoders.TIE`` of its threshold is taken again on ``group_rate``.
 
 The multiplication counter follows the reference cost convention: forming a

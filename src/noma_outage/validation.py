@@ -73,12 +73,10 @@ BLOCK = 128
 
 
 def _run(h, r, gamma, eps):
-    """The algorithms on one instance: its evaluator, the SSA, GSA, LGSA:2
-    and LGSA:4 outcomes of one nested run, and ISU's decoded aircraft."""
+    """The nested algorithms on one instance: its evaluator and the SSA,
+    GSA, LGSA:2 and LGSA:4 outcomes of one run."""
     ev = RateEvaluator(h, gamma)
-    res_ssa, res_gsa, res_l2, res_l4 = decoders.successive(ev, r, (0, ev.k, 2, 4), eps)
-    (isu, _), = decoders.isu_rows(ev, [r], eps)
-    return ev, res_ssa, res_gsa, res_l2, res_l4, isu
+    return (ev, *decoders.successive(ev, r, (0, ev.k, 2, 4), eps))
 
 
 def _replay(evs, rows, runs, eps) -> list[list[tuple[str, tuple[int, ...]]]]:
@@ -89,10 +87,12 @@ def _replay(evs, rows, runs, eps) -> list[list[tuple[str, tuple[int, ...]]]]:
     replay = []  # (instance, name, group, bitmask of the later groups and the outage set)
     for i, (_, res_ssa, res_gsa, *_) in enumerate(runs):
         for name, res in (("SSA", res_ssa), ("GSA", res_gsa)):
-            later = set(res.decoded)
+            # the decoded aircraft outside this group and the earlier ones,
+            # off a running OR of the plan's group masks, and the outage set
+            decoded, outage, before = (sum(1 << j for j in ids) for ids in (res.decoded, res.outage, ()))
             for grp in res.decode_plan:
-                later -= set(grp)
-                replay.append((i, name, grp, sum(1 << j for j in later | res.outage)))
+                before |= sum(1 << j for j in grp)
+                replay.append((i, name, grp, decoded & ~before | outage))
     failed: list[list] = [[] for _ in runs]
     if replay:
         k = evs[0].k
@@ -107,10 +107,11 @@ def _replay(evs, rows, runs, eps) -> list[list[tuple[str, tuple[int, ...]]]]:
     return failed
 
 
-def _problems(run, failed, best_sic: int, max_set: int) -> list[tuple[str, str]]:
-    """One instance's violations, in check order, given its replay failures
-    and the sizes of the oracles' best SIC set and maximum decodable set."""
-    ev, res_ssa, res_gsa, res_l2, res_l4, isu = run
+def _problems(run, isu, failed, best_sic: int, max_set: int) -> list[tuple[str, str]]:
+    """One instance's violations, in check order, given ISU's decoded
+    aircraft, its replay failures and the sizes of the oracles' best SIC set
+    and maximum decodable set."""
+    ev, res_ssa, res_gsa, res_l2, res_l4 = run
     problems: list[tuple[str, str]] = []
     everyone = frozenset(range(ev.k))
     for name, res in (("SSA", res_ssa), ("GSA", res_gsa), ("LGSA:2", res_l2)):
@@ -138,14 +139,16 @@ def _problems(run, failed, best_sic: int, max_set: int) -> list[tuple[str, str]]
 
 def check_block(instances, mutation_eps: float = 0.0) -> list[tuple[list[tuple[str, str]], int]]:
     """All decoder invariants plus oracle equalities on a block of instances
-    (H, r, gamma).  Each instance's algorithms run on their own; then the
-    plan replays and both oracles are decided at once for all instances of
-    the block with one K.
+    (H, r, gamma).  Each instance's nested algorithms run on their own and
+    ISU on all of them at once; then the plan replays and both oracles are
+    decided at once for all instances of the block with one K.
 
     Per instance, in block order: the list of (kind, detail) violations,
     empty when everything holds, and the size of the oracle's maximum
     decodable set."""
     runs = [_run(h, r, gamma, mutation_eps) for h, r, gamma in instances]
+    isu = decoders.one_at_a_time([run[0] for run in runs],
+                                 [(i, r, decoders.ISU) for i, (_, r, _) in enumerate(instances)], mutation_eps)
     failed: list[list] = [[] for _ in runs]
     best_sic, max_set = [0] * len(runs), [0] * len(runs)
     by_k: dict[int, list[int]] = {}
@@ -160,7 +163,8 @@ def check_block(instances, mutation_eps: float = 0.0) -> list[tuple[list[tuple[s
             best_sic[i] = len(got)
         for i, got in zip(idx, decoders.oracle_max_set(evs, rows, None)):
             max_set[i] = len(got)
-    return [(_problems(run, failed[i], best_sic[i], max_set[i]), max_set[i]) for i, run in enumerate(runs)]
+    return [(_problems(run, isu[i][0], failed[i], best_sic[i], max_set[i]), max_set[i])
+            for i, run in enumerate(runs)]
 
 
 def check_instance(h, r, gamma, mutation_eps: float = 0.0) -> tuple[list[tuple[str, str]], int]:

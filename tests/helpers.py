@@ -103,23 +103,24 @@ def schur(ev, s_hat):
 
 
 # ---------------------------------------------------------------------------
-# One-row forms of the decoders' stacked loops
+# One-problem forms of the decoders' stacked loops
 # ---------------------------------------------------------------------------
 
 def decode_with_order(h, r, order, gamma, counter=None, eps=0.0):
     """Walk a fixed decoding order; a failed aircraft stays as interference
-    for everyone after it.  One row of ``decoders.walk_order``."""
+    for everyone after it.  One problem of ``decoders.one_at_a_time``."""
     ev = h if isinstance(h, RateEvaluator) else RateEvaluator(h, gamma)
-    (done, mults), = decoders.walk_order(ev, [r], order, eps)
+    (done, mults), = decoders.one_at_a_time([ev], [(0, np.asarray(r, dtype=float), order)], eps)
     if counter is not None:
         counter.add(mults)
     return frozenset(done)
 
 
 def isu_set(h, r, gamma, counter=None, eps=0.0):
-    """Independent single-user decoders.  One row of ``decoders.isu_rows``."""
+    """Independent single-user decoders.  One problem of
+    ``decoders.one_at_a_time``."""
     ev = h if isinstance(h, RateEvaluator) else RateEvaluator(h, gamma)
-    (done, mults), = decoders.isu_rows(ev, [r], eps)
+    (done, mults), = decoders.one_at_a_time([ev], [(0, np.asarray(r, dtype=float), decoders.ISU)], eps)
     if counter is not None:
         counter.add(mults)
     return frozenset(done)
@@ -184,7 +185,7 @@ def ref_check_instance(h, r, gamma, mutation_eps=0.0):
     everyone = frozenset(range(h.shape[1]))
     ev = RateEvaluator(h, gamma)
     res_ssa, res_gsa, res_l2, res_l4 = decoders.successive(ev, r, (0, ev.k, 2, 4), mutation_eps)
-    (isu, _), = decoders.isu_rows(ev, [r], mutation_eps)
+    isu = isu_set(ev, r, gamma, eps=mutation_eps)
     for name, res in (("SSA", res_ssa), ("GSA", res_gsa), ("LGSA:2", res_l2)):
         if res.decoded | res.outage != everyone:
             problems.append(("partition", f"{name}: bad partition {res}"))

@@ -345,6 +345,14 @@ def test_import_pins_blas_threads_unless_set(user_value):
     assert out.stdout.split() == [user_value or "1", "1", "1"]
 
 
+def test_import_leaves_yaml_unloaded():
+    # only load_config reads YAML, so a launch without --config never loads it
+    env = {**os.environ, "PYTHONPATH": str(Path(noma_outage.__file__).parents[1])}
+    code = "import sys, noma_outage.cli; print('yaml' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False"]
+
+
 # ---------------------------------------------------------------------------
 # traced launch: the benchmark's tracer wraps functions by module and name
 # ---------------------------------------------------------------------------

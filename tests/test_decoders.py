@@ -14,13 +14,12 @@ from noma_outage.decoders import (
     _prune_subsets,
     cgtr_order,
     gsa,
-    isu_rows,
     lgsa,
+    one_at_a_time,
     oracle_best_sic,
     oracle_max_set,
     ssa,
     vblast_order,
-    walk_order,
 )
 from noma_outage.channel import LinkBudget
 from noma_outage.cli import PRESETS
@@ -344,46 +343,74 @@ def test_decode_with_order_validates_permutation():
         decode_with_order(h, np.ones(3), (0, 1), 1.0)
 
 
-def _tie_at(ev, row, order, p, eps, ulp):
-    """Set row's rate at order position p exactly at, or one ulp either side
-    of, the threshold that position meets when the row is walked alone."""
-    x = order[p]
-    before = helpers.ref_decode_with_order(ev, row, order, None, eps) & set(order[:p])
-    edge = ev.group_rate((x,), set(range(ev.k)) - before - {x}) + eps
-    row[x] = edge if ulp == 0 else np.nextafter(edge, ulp * np.inf)
+def _reference(h, gamma, row, order, eps):
+    """(aircraft, mults) of one ``one_at_a_time`` problem on the reference
+    loops, on a fresh evaluator."""
+    fresh = RateEvaluator(h, gamma)
+    counter = MultCounter()
+    if isinstance(order, str) and order == decoders.ISU:
+        return tuple(sorted(helpers.ref_isu_set(fresh, row, counter, eps))), counter.total
+    if isinstance(order, str):  # V-BLAST: the search, then a walk of its order
+        order = helpers.ref_vblast_order(fresh, counter)
+        if row is None:
+            return order, counter.total
+    done = helpers.ref_decode_with_order(fresh, row, order, counter, eps)
+    return tuple(i for i in order if i in done), counter.total
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n_rows=st.integers(1, 15),
+    ks=st.lists(st.integers(1, 8), min_size=1, max_size=4),
+    n_rows=st.integers(1, 4),
     eps=st.sampled_from([0.0, -0.1, 0.05]),
-    ties=st.lists(st.tuples(st.integers(0, 14), st.integers(0, 6), st.sampled_from([-1, 0, 1])), max_size=4),
+    twin=st.booleans(),
+    ties=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 7), st.sampled_from([-1, 0, 1])), max_size=4),
 )
-# every row an exact tie at the first position, against everyone else
-@example(seed=1, n_rows=3, eps=0.0, ties=[(0, 0, 0), (1, 0, 0), (2, 0, 0)])
-def test_walk_order_matches_reference_row_by_row(seed, n_rows, eps, ties):
+# every row of every problem an exact tie at the first position
+@example(seed=1, ks=[3, 1], n_rows=2, eps=0.0, twin=False, ties=[(i, 0, 0) for i in range(16)])
+def test_one_at_a_time_matches_reference_loops(seed, ks, n_rows, eps, twin, ties):
+    # a stack of evaluators of several K, each with rows, orders, V-BLAST
+    # walks, ISU and a V-BLAST search alone, in a shuffled stack
     rng = np.random.default_rng(seed)
-    h, r, gamma = random_instance(rng, k_max=7)
-    k = h.shape[1]
-    order = tuple(int(i) for i in rng.permutation(k))
-    # equal-rate rows share decoded prefixes; perturbed copies of r share
-    # some and split off where a perturbed rate changes a decision
-    single = np.log2(1.0 + gamma * np.sum(np.abs(h) ** 2, axis=0))
-    levels = np.sort(rng.uniform(0.05, 1.0, size=n_rows)) * single.max()
-    perturbed = r * np.where(rng.random((n_rows, k)) < 0.3, rng.uniform(0.7, 1.3, size=(n_rows, k)), 1.0)
-    rows = np.where(rng.random((n_rows, 1)) < 0.5, levels[:, None] * np.ones(k), perturbed)
-    ev = RateEvaluator(h, gamma)
+    chans, problems = [], []
+    for e, k in enumerate(ks):
+        h = random_channel(rng, int(rng.integers(1, 9)), k)
+        if twin and k > 1:  # two equal columns: exact ties in the V-BLAST search
+            h[:, 1] = h[:, 0]
+        gamma = float(10.0 ** rng.uniform(0.0, 1.5))
+        chans.append((h, gamma))
+        # equal-rate rows and perturbed copies of one variable-rate row
+        single = np.log2(1.0 + gamma * np.sum(np.abs(h) ** 2, axis=0))
+        r = rng.uniform(0.02, 1.25, size=k) * single
+        levels = np.sort(rng.uniform(0.05, 1.0, size=n_rows)) * single.max()
+        perturbed = r * np.where(rng.random((n_rows, k)) < 0.3, rng.uniform(0.7, 1.3, size=(n_rows, k)), 1.0)
+        rows = np.where(rng.random((n_rows, 1)) < 0.5, levels[:, None] * np.ones(k), perturbed)
+        for row in rows:
+            order = tuple(int(i) for i in rng.permutation(k))
+            problems += [(e, row, order), (e, row, decoders.VBLAST), (e, row, decoders.ISU)]
+        problems.append((e, None, decoders.VBLAST))
+    # a rate exactly at, or one ulp either side of, the threshold a position
+    # meets when its problem runs alone (ISU: against everyone else)
     for i, p, ulp in ties:
-        _tie_at(ev, rows[i % n_rows], order, p % k, eps, ulp)
-    walked = walk_order(RateEvaluator(h, gamma), rows, order, eps)
-    assert len(walked) == n_rows
-    for row, (done, mults) in zip(rows, walked):
-        counter = MultCounter()
-        ref = helpers.ref_decode_with_order(RateEvaluator(h, gamma), row, order, counter, eps)
-        assert done == tuple(i for i in order if i in ref)
-        assert mults == counter.total
-        assert walk_order(RateEvaluator(h, gamma), [row], order, eps) == [(done, mults)]
+        e, row, order = problems[i % len(problems)]
+        if row is None:
+            continue
+        k = len(row)
+        if isinstance(order, str) and order == decoders.ISU:
+            x, before = p % k, set()
+        else:
+            walked = _reference(*chans[e], None, order, eps)[0] if isinstance(order, str) else order
+            x = walked[p % k]
+            before = set(_reference(*chans[e], row, walked, eps)[0]) & set(walked[: p % k])
+        edge = RateEvaluator(*chans[e]).group_rate((x,), set(range(k)) - before - {x}) + eps
+        row[x] = edge if ulp == 0 else np.nextafter(edge, ulp * np.inf)
+    problems = [problems[i] for i in rng.permutation(len(problems))]
+    want = [_reference(*chans[e], row, order, eps) for e, row, order in problems]
+    assert one_at_a_time([RateEvaluator(*chan) for chan in chans], problems, eps) == want
+    # and each problem alone, a stack of one
+    for (e, row, order), got in zip(problems, want):
+        assert one_at_a_time([RateEvaluator(*chans[e])], [(0, row, order)], eps) == [got]
 
 
 def test_fixed_orders_decode_inside_ssa():
@@ -519,36 +546,6 @@ def test_isu_contained_in_ssa_and_matches_direct_check():
         }
         assert isu == ref
         assert isu <= ssa(h, r, gamma).decoded
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n_rows=st.integers(1, 15),
-    eps=st.sampled_from([0.0, -0.1, 0.05]),
-    ties=st.lists(st.tuples(st.integers(0, 14), st.integers(0, 6), st.sampled_from([-1, 0, 1])), max_size=4),
-)
-def test_isu_rows_match_reference_row_by_row(seed, n_rows, eps, ties):
-    rng = np.random.default_rng(seed)
-    h, r, gamma = random_instance(rng, k_max=7)
-    k = h.shape[1]
-    single = np.log2(1.0 + gamma * np.sum(np.abs(h) ** 2, axis=0))
-    levels = np.sort(rng.uniform(0.05, 1.0, size=n_rows)) * single.max()
-    perturbed = r * rng.uniform(0.7, 1.3, size=(n_rows, k))
-    rows = np.where(rng.random((n_rows, 1)) < 0.5, levels[:, None] * np.ones(k), perturbed)
-    ev = RateEvaluator(h, gamma)
-    # a rate exactly at, or one ulp either side of, its threshold
-    for i, x, ulp in ties:
-        edge = ev.group_rate((x % k,), set(range(k)) - {x % k}) + eps
-        rows[i % n_rows, x % k] = edge if ulp == 0 else np.nextafter(edge, ulp * np.inf)
-    stacked = isu_rows(RateEvaluator(h, gamma), rows, eps)
-    assert len(stacked) == n_rows
-    for row, (done, mults) in zip(rows, stacked):
-        counter = MultCounter()
-        ref = helpers.ref_isu_set(RateEvaluator(h, gamma), row, counter, eps)
-        assert done == tuple(sorted(ref))
-        assert mults == counter.total
-        assert isu_rows(RateEvaluator(h, gamma), [row], eps) == [(done, mults)]
 
 
 # ---------------------------------------------------------------------------

@@ -164,72 +164,79 @@ def test_variable_rate_sweep_sums_per_k_trials():
         assert row.estimate.mult_total == sum(o.mult_count for o in outcomes), row
 
 
-def test_equal_rate_sweep_finds_vblast_order_once_per_trial(monkeypatch):
+def _counted(monkeypatch, name):
+    """Record the arguments of every call of ``decoders.<name>``."""
     calls = []
-    vblast_order = decoders.vblast_order
+    inner = getattr(decoders, name)
 
-    def counted_vblast_order(*args, **kwargs):
-        calls.append(args)
-        return vblast_order(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return inner(*args, **kwargs)
 
-    monkeypatch.setattr(decoders, "vblast_order", counted_vblast_order)
-    cfg = SMALL.replace(r_g_list=(1.0, 3.0, 5.0, 7.0), trials=4)
-    rows = run_sweep(cfg)
-    assert len(calls) == cfg.trials
-    # every point is charged the ordering's evaluations, as a lone trial is
+    monkeypatch.setattr(decoders, name, counted)
+    return calls
+
+
+def _sums_match_lone_trials(cfg, rows):
+    # every point is charged as a lone trial is, the V-BLAST search included
     for row in rows:
         outcomes = [run_trial(cfg, i, row.r_g)[row.algorithm] for i in range(cfg.trials)]
         assert row.estimate.decoded_total == sum(o.n_decoded for o in outcomes), row
         assert row.estimate.mult_total == sum(o.mult_count for o in outcomes), row
+
+
+def test_equal_rate_sweep_finds_vblast_order_once_per_trial(monkeypatch):
+    calls = _counted(monkeypatch, "vblast_order")
+    cfg = SMALL.replace(r_g_list=(1.0, 3.0, 5.0, 7.0), trials=4)
+    rows = run_sweep(cfg)
+    # one stacked call per trial, on the trial's one evaluator, whose walks
+    # need one search
+    assert len(calls) == cfg.trials
+    for (evs,), kwargs in calls:
+        assert len(evs) == 1
+        assert sum(order is decoders.VBLAST for _, _, order in kwargs["walks"]) == len(cfg.r_g_list)
+    _sums_match_lone_trials(cfg, rows)
 
 
 def test_equal_rate_sweep_walks_each_order_once_per_trial(monkeypatch):
-    walks = []
-    walk_order = decoders.walk_order
-
-    def counted_walk_order(ev, rows, order, eps=0.0):
-        walks.append((ev, order, len(rows)))
-        return walk_order(ev, rows, order, eps)
-
-    monkeypatch.setattr(decoders, "walk_order", counted_walk_order)
+    calls = _counted(monkeypatch, "one_at_a_time")
     cfg = SMALL.replace(algorithms=("SIC_RANDOM", "SIC_CGTR", "SIC_VBLAST"), r_g_list=(1.0, 3.0, 5.0, 7.0), trials=4)
     rows = run_sweep(cfg)
-    # one walk per (trial, order), over every r_G row: three per trial, fewer
-    # where two baselines' orders coincide
-    orders = {}
-    for ev, order, n_rows in walks:
-        assert n_rows == len(cfg.r_g_list)
-        orders.setdefault(ev, []).append(order)
-    assert len(orders) == cfg.trials
-    for i, (ev, walked) in enumerate(orders.items()):
+    # one kernel call per trial: each baseline's order walked once per r_G row
+    assert len(calls) == cfg.trials
+    for i, ((evs, walks, _), _) in enumerate(calls):
         h = build_trial_channel(cfg, i).h
-        used = {montecarlo._random_order(cfg, i, 4), montecarlo._sweep_state(ev).vblast[0]}
-        used.update(decoders.cgtr_order(h, np.full(4, r_g)) for r_g in cfg.r_g_list)
-        assert sorted(walked) == sorted(used)
-    walks.clear()
-    for row in rows:
-        outcomes = [run_trial(cfg, i, row.r_g)[row.algorithm] for i in range(cfg.trials)]
-        assert row.estimate.decoded_total == sum(o.n_decoded for o in outcomes), row
-        assert row.estimate.mult_total == sum(o.mult_count for o in outcomes), row
-    assert {n_rows for _, _, n_rows in walks} == {1}  # a lone trial walks one row
+        want = {(r_g, order) for r_g in cfg.r_g_list
+                for order in (montecarlo._random_order(cfg, i, 4), decoders.cgtr_order(h, np.full(4, r_g)),
+                              decoders.VBLAST)}
+        got = [(float(row[0]), order if isinstance(order, str) else tuple(order)) for _, row, order in walks]
+        assert sorted(got, key=str) == sorted(want, key=str)
+    calls.clear()
+    _sums_match_lone_trials(cfg, rows)
+    # a lone trial is a stack of one point: one problem per baseline
+    assert {len(walks) for (_, walks, _), _ in calls} == {len(cfg.algorithms)}
 
 
 def test_equal_rate_sweep_decides_isu_once_per_trial(monkeypatch):
-    calls = []
-    isu_rows = decoders.isu_rows
-
-    def counted_isu_rows(ev, rows, eps=0.0):
-        calls.append(len(rows))
-        return isu_rows(ev, rows, eps)
-
-    monkeypatch.setattr(decoders, "isu_rows", counted_isu_rows)
+    calls = _counted(monkeypatch, "one_at_a_time")
     cfg = SMALL.replace(algorithms=("ISU",), r_g_list=(1.0, 3.0, 5.0, 7.0), trials=4)
     rows = run_sweep(cfg)
-    assert calls == [len(cfg.r_g_list)] * cfg.trials
+    assert [[float(row[0]) for _, row, order in walks if order == decoders.ISU] for (_, walks, _), _ in calls] \
+        == [list(cfg.r_g_list)] * cfg.trials
+    _sums_match_lone_trials(cfg, rows)
+
+
+def test_variable_rate_sweep_stacks_every_k_in_one_call(monkeypatch):
+    calls = _counted(monkeypatch, "one_at_a_time")
+    cfg = SMALL.replace(rate_mode="variable_rate", k_list=(3, 1, 4, 4), trials=3)
+    rows = run_sweep(cfg)
+    # one kernel call per trial, over one evaluator per run of equal K
+    assert [[ev.k for ev in evs] for (evs, _, _), _ in calls] == [[3, 1, 4]] * cfg.trials
     for row in rows:
-        outcomes = [run_trial(cfg, i, row.r_g)["ISU"] for i in range(cfg.trials)]
-        assert row.estimate.decoded_total == sum(o.n_decoded for o in outcomes), row
-        assert row.estimate.mult_total == sum(o.mult_count for o in outcomes), row
+        outcomes = [run_trial(cfg.replace(k_aircraft=row.k), i)[row.algorithm] for i in range(cfg.trials)]
+        decoded = sum(o.n_decoded for o in outcomes)
+        mults = sum(o.mult_count for o in outcomes)
+        assert (row.estimate.decoded_total, row.estimate.mult_total) == (decoded, mults), row
 
 
 def test_sweep_random_orders_match_random_order(monkeypatch):
@@ -254,10 +261,13 @@ def test_fixed_order_rates_outside_the_rows_walk_alone():
     gamma = LinkBudget.from_config(cfg).snr_linear
     order = tuple(range(cfg.k_aircraft))
     ev = RateEvaluator(h, gamma)
-    montecarlo._sweep_state(ev).rate_rows = np.array([np.full(4, 2.0), np.full(4, 6.0)])
+    montecarlo._share_baselines(cfg.algorithms, h, [ev], [0, 0], [np.full(4, 2.0), np.full(4, 6.0)], [order])
+    # rates, random orders and eps the trial's stack did not run on are run alone
     for rates in (np.full(4, 6.0), np.full(4, 4.0), np.array([2.0, 6.0, 2.0, 6.0])):
-        shared = run_algorithms(ev, h, rates, gamma, cfg.algorithms, order)
-        assert shared == run_algorithms(RateEvaluator(h, gamma), h, rates, gamma, cfg.algorithms, order)
+        for random_order, eps in ((order, 0.0), (order[::-1], 0.0), (order, 0.05)):
+            shared = run_algorithms(ev, h, rates, gamma, cfg.algorithms, random_order, eps)
+            alone = run_algorithms(RateEvaluator(h, gamma), h, rates, gamma, cfg.algorithms, random_order, eps)
+            assert shared == alone
 
 
 def test_frozen_reflector_map_shared_across_trials():
