@@ -413,6 +413,49 @@ def test_one_at_a_time_matches_reference_loops(seed, ks, n_rows, eps, twin, ties
         assert one_at_a_time([RateEvaluator(*chans[e])], [(0, row, order)], eps) == [got]
 
 
+def _tie_at(ev, row, order, p, eps, ulp):
+    """Set row's rate at order position p exactly at, or one ulp either side
+    of, the threshold that position meets when the row is walked alone."""
+    x = order[p]
+    before = helpers.ref_decode_with_order(ev, row, order, None, eps) & set(order[:p])
+    edge = ev.group_rate((x,), set(range(ev.k)) - before - {x}) + eps
+    row[x] = edge if ulp == 0 else np.nextafter(edge, ulp * np.inf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 15),
+    eps=st.sampled_from([0.0, -0.1, 0.05]),
+    ties=st.lists(st.tuples(st.integers(0, 14), st.integers(0, 6), st.sampled_from([-1, 0, 1])), max_size=4),
+)
+# every row an exact tie at the first position, against everyone else
+@example(seed=1, n_rows=3, eps=0.0, ties=[(0, 0, 0), (1, 0, 0), (2, 0, 0)])
+def test_walk_order_matches_reference_row_by_row(seed, n_rows, eps, ties):
+    # many rate rows walked in one fixed order on one evaluator
+    rng = np.random.default_rng(seed)
+    h, r, gamma = random_instance(rng, k_max=7)
+    k = h.shape[1]
+    order = tuple(int(i) for i in rng.permutation(k))
+    # equal-rate rows share decoded prefixes; perturbed copies of r share
+    # some and split off where a perturbed rate changes a decision
+    single = np.log2(1.0 + gamma * np.sum(np.abs(h) ** 2, axis=0))
+    levels = np.sort(rng.uniform(0.05, 1.0, size=n_rows)) * single.max()
+    perturbed = r * np.where(rng.random((n_rows, k)) < 0.3, rng.uniform(0.7, 1.3, size=(n_rows, k)), 1.0)
+    rows = np.where(rng.random((n_rows, 1)) < 0.5, levels[:, None] * np.ones(k), perturbed)
+    ev = RateEvaluator(h, gamma)
+    for i, p, ulp in ties:
+        _tie_at(ev, rows[i % n_rows], order, p % k, eps, ulp)
+    walked = one_at_a_time([RateEvaluator(h, gamma)], [(0, row, order) for row in rows], eps)
+    assert len(walked) == n_rows
+    for row, (done, mults) in zip(rows, walked):
+        counter = MultCounter()
+        ref = helpers.ref_decode_with_order(RateEvaluator(h, gamma), row, order, counter, eps)
+        assert done == tuple(i for i in order if i in ref)
+        assert mults == counter.total
+        assert one_at_a_time([RateEvaluator(h, gamma)], [(0, row, order)], eps) == [(done, mults)]
+
+
 def test_fixed_orders_decode_inside_ssa():
     # SSA's set is the largest any SIC order decodes, whatever the order
     rng = np.random.default_rng(5)
@@ -546,6 +589,37 @@ def test_isu_contained_in_ssa_and_matches_direct_check():
         }
         assert isu == ref
         assert isu <= ssa(h, r, gamma).decoded
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 15),
+    eps=st.sampled_from([0.0, -0.1, 0.05]),
+    ties=st.lists(st.tuples(st.integers(0, 14), st.integers(0, 6), st.sampled_from([-1, 0, 1])), max_size=4),
+)
+def test_isu_rows_match_reference_row_by_row(seed, n_rows, eps, ties):
+    # ISU of many rate rows on one evaluator
+    rng = np.random.default_rng(seed)
+    h, r, gamma = random_instance(rng, k_max=7)
+    k = h.shape[1]
+    single = np.log2(1.0 + gamma * np.sum(np.abs(h) ** 2, axis=0))
+    levels = np.sort(rng.uniform(0.05, 1.0, size=n_rows)) * single.max()
+    perturbed = r * rng.uniform(0.7, 1.3, size=(n_rows, k))
+    rows = np.where(rng.random((n_rows, 1)) < 0.5, levels[:, None] * np.ones(k), perturbed)
+    ev = RateEvaluator(h, gamma)
+    # a rate exactly at, or one ulp either side of, its threshold
+    for i, x, ulp in ties:
+        edge = ev.group_rate((x % k,), set(range(k)) - {x % k}) + eps
+        rows[i % n_rows, x % k] = edge if ulp == 0 else np.nextafter(edge, ulp * np.inf)
+    stacked = one_at_a_time([RateEvaluator(h, gamma)], [(0, row, decoders.ISU) for row in rows], eps)
+    assert len(stacked) == n_rows
+    for row, (done, mults) in zip(rows, stacked):
+        counter = MultCounter()
+        ref = helpers.ref_isu_set(RateEvaluator(h, gamma), row, counter, eps)
+        assert done == tuple(sorted(ref))
+        assert mults == counter.total
+        assert one_at_a_time([RateEvaluator(h, gamma)], [(0, row, decoders.ISU)], eps) == [(done, mults)]
 
 
 # ---------------------------------------------------------------------------
