@@ -14,13 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, combinations, islice, permutations
+from itertools import chain, combinations, compress, islice, permutations
 from math import comb
 from typing import Sequence
 
 import numpy as np
 
-from .rates import TABLE_LIMIT, MultCounter, RateEvaluator, capacity_tables, eval_cost, subsets_of_size
+from .rates import (TABLE_LIMIT, MultCounter, RateEvaluator, capacity_tables, eval_cost, subsets_of_size,
+                    whitened_inverses)
 
 ORACLE_MAX_SET_LIMIT = TABLE_LIMIT
 ORACLE_BEST_SIC_LIMIT = 8
@@ -61,9 +62,13 @@ def _as_evaluator(h, gamma: float) -> RateEvaluator:
 #   the outage set as log2 S[l, l] and of a pair as log2 det S[{a, b}];
 # - W = (A_U)^{-1} gives the rate of a group C against the rest of U as
 #   -log2 det W[C, C], and of one aircraft k as -log2 W[k, k].  Every loop on W
-#   starts from a copy of the full-set inverse, U = everyone.
+#   starts from the full-set inverse, U = everyone.
 #
 # Moving l into the outage set and removing k from U are the same pivot step.
+# The one-at-a-time loops (``one_at_a_time``: ISU, V-BLAST, fixed-order SIC
+# and the nested decoders' prune and greedy SIC) factor A or W, one column
+# per pivot; the group loops that continue a nested run pivot the arrays the
+# factors leave (``Front``) in place.
 # A decision within TIE of its threshold is taken again on the Cholesky rate,
 # ``RateEvaluator.group_rate``, so every decision equals the reference one;
 # evaluations are charged in closed form, as ``group_rate`` would charge them.
@@ -453,17 +458,45 @@ def _greedy_group(ev, w, r, l_set, s_star, s_hat, plan, v_max, counter, eps, v) 
 # Full algorithms
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class Front:
+    """The start every nested decoder shares on one rate row: the prune,
+    then greedy SIC.  ``decoded`` is in decode order, one plan group each.
+    A run continues on ``a``, the Hermitian part of I + gG with the outage
+    set eliminated, and ``w``, that of W with the decoded aircraft
+    eliminated; both are None when fewer than two aircraft are left
+    undetermined, since no group scan can then decode one."""
+
+    decoded: tuple[int, ...]
+    outage: frozenset
+    mults: int
+    a: np.ndarray | None = None
+    w: np.ndarray | None = None
+
+
 def successive(ev: RateEvaluator, r, limits: Sequence[int], eps=0.0) -> list[DecodeOutcome]:
     """SSA, LGSA and GSA in one run, one outcome per group-size limit: 0 is
-    SSA, v is LGSA:v and K is GSA.  Each limited run is a prefix of the next,
-    so every outcome, mult count included, equals a separate run of its limit."""
+    SSA, v is LGSA:v and K is GSA.  The front is a stack of one
+    (``one_at_a_time``), the rest ``from_front``."""
+    (front,) = one_at_a_time([ev], [(0, r, GREEDY)], eps)
+    return from_front(ev, r, front, limits, eps)
+
+
+def from_front(ev: RateEvaluator, r, front: Front, limits: Sequence[int], eps=0.0) -> list[DecodeOutcome]:
+    """SSA, LGSA and GSA on (ev, r) from their ``Front``, one outcome per
+    group-size limit.  The pair prune runs once, before the first group
+    search, and each limited run is a prefix of the next, so every outcome,
+    mult count included, equals a separate run of its limit.  With fewer
+    than two aircraft undetermined, the front is every limit's outcome."""
+    plan = [(x,) for x in front.decoded]
+    if front.w is None:
+        decoded = frozenset(front.decoded)
+        return [DecodeOutcome(decoded, frozenset(range(ev.k)) - decoded, tuple(plan), front.mults)] * len(limits)
     rr = np.asarray(r, dtype=float)
-    counter = MultCounter()
-    l_set, s_star, s_hat, plan = set(range(ev.k)), set(), set(), []
-    w = ev.whitened_inverse(range(ev.k)).copy()  # U = L u S_hat is everyone until the first decode
-    a = ev.a.copy()  # the prunes' I + gG, S_hat eliminated; decoding leaves it as it is
-    _prune_aircraft(ev, a, rr, l_set, s_hat, counter, eps)
-    _greedy_group(ev, w, rr, l_set, s_star, s_hat, plan, 1, counter, eps, 1)  # greedy SIC
+    counter = MultCounter(front.mults)
+    s_star, s_hat = set(front.decoded), set(front.outage)
+    l_set = set(range(ev.k)) - s_star - s_hat
+    a, w = front.a.copy(), front.w.copy()  # a front may be read again, by another token's run
     by_limit, v = {}, 0
     for limit in sorted(set(limits)):
         if limit >= 1:
@@ -496,38 +529,100 @@ def gsa(h, r, gamma, eps=0.0) -> DecodeOutcome:
 
 
 # ---------------------------------------------------------------------------
-# One-at-a-time decoders: ISU, V-BLAST and fixed-order SIC
+# One-at-a-time decoders: ISU, V-BLAST, fixed-order SIC and the nested
+# decoders' front
 # ---------------------------------------------------------------------------
 
 #: The order of a problem that decides every aircraft against all the others.
 ISU = "ISU"
 #: The order of a problem that walks its evaluator's V-BLAST order.
 VBLAST = "V-BLAST"
+#: The order of a problem that moves into outage every aircraft that cannot
+#: reach its rate against the outage set, in passes until one moves nobody.
+PRUNE = "prune"
+#: The order of a problem that prunes, then decodes by greedy SIC, the
+#: lowest-index aircraft that fits first: the nested decoders' ``Front``.
+GREEDY = "greedy SIC"
 
 
-def one_at_a_time(evs: Sequence[RateEvaluator], problems, eps=0.0) -> list[tuple[tuple[int, ...], int]]:
-    """ISU, V-BLAST searches and fixed-order SIC walks on a stack of
-    evaluators of any K, in one loop over positions.
+def _single_costs(m, t):
+    """eval_cost(m, 1, t), elementwise."""
+    return np.where(t > 0, m * m * (1 + t) + 2 * m**3, m * m)
+
+
+def _prune(evs, at, a, need, eps):
+    """The prune of each rate row need[n] on evs[at[n]], all rows in
+    lockstep, on ``a``, the stack of the evaluators' Hermitian parts of
+    I + gG.  A row keeps the diagonal s of the Schur complement of its a on
+    its outage set and a left-looking factor, one column per aircraft moved,
+    as ``one_at_a_time`` keeps them on W; log2 s_l is l's rate against the
+    outage set.  Each step takes the first failure at or after the row's
+    pointer, and a pass that moves nobody ends the row; each aircraft
+    scanned is charged eval_cost(m, 1, |outage set|).  Per row: the
+    aircraft moved, in order and padded with -1, the factor and the mults."""
+    n, kmax = need.shape
+    pos = np.arange(kmax)
+    ks = np.array([evs[e].k for e in at], dtype=np.int64)
+    ms = np.array([evs[e].m for e in at], dtype=np.int64)
+    s = np.where(pos < ks[:, None], np.diagonal(a, axis1=1, axis2=2).real[at], np.inf)
+    c = np.zeros((n, kmax, kmax), dtype=complex)
+    moved = np.full((n, kmax), -1, dtype=np.intp)
+    n_moved, ptr = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
+    added = np.zeros(n, dtype=bool)
+    scans = np.zeros((n, kmax + 1), dtype=np.int64)  # aircraft scanned, by the outage set's size
+    live = np.arange(n)
+    while live.size:
+        scan = (pos >= ptr[live, None]) & np.isfinite(s[live])  # not moved, at or after the pointer
+
+        def reference(j, live=live):
+            q = live[j // kmax]
+            return evs[at[q]].group_rate((j % kmax,), moved[q, : n_moved[q]].tolist())
+
+        fail = ~_decide(np.where(scan, need[live], -np.inf), np.log2(s[live]), eps, reference)
+        has, x = fail.any(axis=1), fail.argmax(axis=1)
+        scanned = np.where(has, np.cumsum(scan, axis=1)[np.arange(live.size), x], scan.sum(axis=1))
+        scans[live, n_moved[live]] += scanned
+        q, x = live[has], x[has]
+        col = a[at[q], :, x] - (c[q, None, :, x].conj() @ c[q])[:, 0]
+        col /= np.sqrt(s[q, x])[:, None]
+        c[q, n_moved[q]] = col
+        s[q] -= np.abs(col) ** 2
+        s[q, x] = np.inf
+        moved[q, n_moved[q]] = x
+        n_moved[q] += 1
+        ptr[q], added[q] = x + 1, True
+        miss = live[~has]
+        again = miss[added[miss]]  # the pass moved someone: another pass
+        ptr[again], added[again] = 0, False
+        live = np.sort(np.concatenate([q, again]))
+    return moved, c, (scans * _single_costs(ms[:, None], np.arange(kmax + 1))).sum(axis=1)
+
+
+def one_at_a_time(evs: Sequence[RateEvaluator], problems, eps=0.0) -> list:
+    """ISU, V-BLAST searches, fixed-order SIC walks and the nested decoders'
+    fronts on a stack of evaluators of any K, in one loop over positions.
 
     A problem (e, row, order) is evs[e], a rate row and an order: a
     permutation (SIC in that order, a failed aircraft left interfering),
     ``VBLAST`` (SIC in the order ``vblast_order`` finds on evs[e], or with
-    row None the search alone) or ``ISU``.  Per problem: the aircraft it
-    decodes, in decode order, and the mults of a lone run of it, a V-BLAST
-    walk's search included.  A search or walk keeps the diagonal s of the
-    Schur complement of W's Hermitian part and a left-looking factor C with
-    one column per pivot: pivoting x at step j makes
-    c = (W[:, x] - C[:, :j] C[x, :j]^H) / sqrt(s_x) and s -= |c|^2, and
-    -log2 s_x is x's rate against everyone not pivoted out.  Each decision
-    goes through ``_decide``; each aircraft tried against t others is
-    charged eval_cost(m, 1, t), in closed form."""
+    row None the search alone), ``ISU``, ``PRUNE`` or ``GREEDY``.  Per
+    problem: the aircraft it decodes (moves into outage, for ``PRUNE``), in
+    that order, and the mults of a lone run of it, a V-BLAST walk's search
+    included; a ``GREEDY`` problem gets its ``Front``.  A search, walk or
+    greedy SIC keeps the diagonal s of the Schur complement of W's Hermitian
+    part and a left-looking factor C with one column per pivot: pivoting x
+    at step j makes c = (W[:, x] - C[:, :j] C[x, :j]^H) / sqrt(s_x) and
+    s -= |c|^2, and -log2 s_x is x's rate against everyone not pivoted out.
+    ``PRUNE`` and ``GREEDY`` problems are all pruned first, together
+    (``_prune``).  Each decision goes through ``_decide``; each aircraft
+    tried against t others is charged eval_cost(m, 1, t), in closed form."""
     out: list = [None] * len(problems)
     kmax = max((ev.k for ev in evs), default=0)
     ks, ms = np.array([ev.k for ev in evs], dtype=np.int64), np.array([ev.m for ev in evs], dtype=np.int64)
     w = np.zeros((len(evs), kmax, kmax), dtype=complex)
-    for e, ev in enumerate(evs):
-        inv = ev.whitened_inverse(range(ev.k))
-        w[e, : ev.k, : ev.k] = (inv + inv.conj().T) / 2.0
+    for e, (ev, inv) in enumerate(zip(evs, whitened_inverses(evs))):
+        w[e, : ev.k, : ev.k] = inv
+    w = (w + w.conj().transpose(0, 2, 1)) / 2.0
     s0 = np.where(np.arange(kmax) < ks[:, None], np.diagonal(w, axis1=1, axis2=2).real, np.inf)
     need = np.zeros((len(problems), kmax))  # each problem's rates, zero past its K
     for i, (e, row, _) in enumerate(problems):
@@ -538,73 +633,142 @@ def one_at_a_time(evs: Sequence[RateEvaluator], problems, eps=0.0) -> list[tuple
     at = np.array([problems[i][0] for i in isu], dtype=np.intp)
     ok = _decide(need[isu], -np.log2(s0[at]), eps, lambda j: evs[at[j // kmax]].group_rate(
         (j % kmax,), set(range(evs[at[j // kmax]].k)) - {j % kmax}))
-    for i, e, row in zip(isu, at.tolist(), ok):
-        out[i] = (tuple(np.flatnonzero(row).tolist()), evs[e].k * eval_cost(evs[e].m, 1, evs[e].k - 1))
+    for i, e, row in zip(isu, at.tolist(), ok.tolist()):
+        out[i] = (tuple(compress(range(kmax), row)), evs[e].k * eval_cost(evs[e].m, 1, evs[e].k - 1))
 
-    # the problems that pivot, one row each: a search per evaluator a V-BLAST
-    # problem is on, by K up, then the walks, by K down, so that the rows
-    # whose K is past a step are the two ends.  A search's rates are the most
-    # negative float, so that it decodes every aircraft it picks.
-    searched = sorted(dict.fromkeys(e for (e, _, _), kind in zip(problems, kinds) if kind == VBLAST),
-                      key=lambda e: evs[e].k)
-    walks = sorted((i for i, kind in enumerate(kinds) if kind != ISU and problems[i][1] is not None),
+    # every prune runs to its end before the loop: pruned aircraft fail the
+    # greedy test in exact arithmetic but not at ties, so a GREEDY row's
+    # candidates are the aircraft its prune leaves, the others at rate inf
+    pruning = [i for i, kind in enumerate(kinds) if kind in (PRUNE, GREEDY)]
+    a = np.zeros((len(evs), kmax, kmax), dtype=complex)
+    for e in {problems[i][0] for i in pruning}:
+        a[e, : evs[e].k, : evs[e].k] = evs[e].a
+    a = (a + a.conj().transpose(0, 2, 1)) / 2.0
+    moved, c_p, p_mults = _prune(evs, np.array([problems[i][0] for i in pruning], dtype=np.intp), a,
+                                 need[pruning], eps)
+    gone = (moved[:, :, None] == np.arange(kmax)).any(axis=1)
+    need[pruning] = np.where(gone, np.inf, need[pruning])
+    moved, p_mults = [[x for x in row if x >= 0] for row in moved.tolist()], p_mults.tolist()
+    for n, i in enumerate(pruning):
+        if kinds[i] == PRUNE:
+            out[i] = (tuple(moved[n]), p_mults[n])
+
+    # the problems that pivot, one row each: the rows that pick their
+    # aircraft, a search per evaluator a V-BLAST problem is on and each
+    # greedy SIC, by their number of steps up, then the walks, by K down,
+    # so that the rows whose last step is past step j are the two ends
+    searched = list(dict.fromkeys(e for (e, _, _), kind in zip(problems, kinds) if kind == VBLAST))
+    front_of = {i: n for n, i in enumerate(pruning) if kinds[i] == GREEDY}
+    picks = sorted([(evs[e].k, e, -1) for e in searched]
+                   + [(evs[problems[i][0]].k - len(moved[n]), problems[i][0], i) for i, n in front_of.items()],
+                   key=lambda p: p[0])
+    walks = sorted((i for i, kind in enumerate(kinds) if kind in (None, VBLAST) and problems[i][1] is not None),
                    key=lambda i: -evs[problems[i][0]].k)
-    n_s, on = len(searched), np.array(searched + [problems[i][0] for i in walks], dtype=np.intp)
+    n_p = len(picks)
+    on = np.array([e for _, e, _ in picks] + [problems[i][0] for i in walks], dtype=np.intp)
     if not on.size:
         return out
-    src = np.array([searched.index(problems[i][0]) if kinds[i] else -1 for i in walks], dtype=np.intp)
+    steps = np.array([n for n, _, _ in picks] + [evs[problems[i][0]].k for i in walks], dtype=np.int64)
+    is_search = np.array([i < 0 for _, _, i in picks] + [False] * len(walks))
+    search_row = {e: q for q, (_, e, i) in enumerate(picks) if i < 0}
+    src = np.array([search_row[problems[i][0]] if kinds[i] else -1 for i in walks], dtype=np.intp)
     tried = np.tile(np.arange(kmax), (len(on), 1))  # each row's aircraft by position, past K the position
     for n, i in enumerate(walks):
         if src[n] < 0:
-            tried[n_s + n, : evs[problems[i][0]].k] = problems[i][2]
+            tried[n_p + n, : evs[problems[i][0]].k] = problems[i][2]
     if (np.sort(tried, axis=1) != np.arange(kmax)).any():
         raise ValueError("order must be a permutation of all aircraft")
-    need = np.vstack([np.full((n_s, kmax), -np.finfo(float).max), need[walks]])
+    need = np.vstack([need[[max(i, 0) for _, _, i in picks]], need[walks]])  # a search's row is unused
     k_on, m_on, s = ks[on], ms[on], s0[on]
+    left = k_on[:, None] - np.arange(kmax)
+    # evaluations per step: a search tries every aircraft left, a walk one,
+    # a greedy SIC those up to its pick, or at its miss every candidate
+    evals = np.where(is_search[:, None], left, left > 0)
+    evals[:n_p][~is_search[:n_p]] = 0
     c = np.zeros((len(on), kmax, kmax), dtype=complex)  # c[q, j]: row q's pivot column at step j
     decoded = np.zeros((len(on), kmax), dtype=bool)
-    by_search = n_s + (src >= 0).nonzero()[0]
-    live = k_on[:, None] > np.arange(kmax)
-    ends = zip((n_s - live[:n_s].sum(axis=0)).tolist(), (n_s + live[n_s:].sum(axis=0)).tolist())
-    for j, (lo, hi) in enumerate(ends):  # the rows whose K is past step j: lo:hi
-        if lo < n_s:
-            fast = -np.log2(s[lo:n_s])
+    missed = np.zeros(len(on), dtype=bool)
+    by_search = n_p + (src >= 0).nonzero()[0]
+    live = steps[:, None] > np.arange(kmax)
+    ends = zip((n_p - live[:n_p].sum(axis=0)).tolist(), (n_p + live[n_p:].sum(axis=0)).tolist())
+    for j, (lo, hi) in enumerate(ends):  # the rows whose last step is past step j: lo:hi
+        if lo == hi:
+            break
+        rows = lo + is_search[lo:n_p].nonzero()[0]
+        if rows.size:
+            fast = -np.log2(s[rows])
             best = fast.argmax(axis=1)
             near = fast >= fast.max(axis=1, keepdims=True) - TIE
             for q in (near.sum(axis=1) > 1).nonzero()[0]:
-                ev, cand = evs[on[lo + q]], near[q].nonzero()[0].tolist()
-                rest = set(range(ev.k)).difference(tried[lo + q, :j].tolist())
+                ev, cand = evs[on[rows[q]]], near[q].nonzero()[0].tolist()
+                rest = set(range(ev.k)).difference(tried[rows[q], :j].tolist())
                 best[q] = cand[int(np.argmax([ev.group_rate((x,), rest - {x}) for x in cand]))]
-            tried[lo:n_s, j] = best
-            tried[by_search, j] = tried[src[by_search - n_s], j]
+            tried[rows, j] = best
+            decoded[rows, j] = True
+            tried[by_search, j] = tried[src[by_search - n_p], j]
+        rows = lo + (~is_search[lo:n_p] & ~missed[lo:n_p]).nonzero()[0]
+        if rows.size:  # greedy SIC: the lowest-index candidate that fits, or a miss
+            fit = _decide(need[rows], -np.log2(s[rows]), eps, _reference(evs, on, tried, decoded, rows, j, kmax))
+            hit, x = fit.any(axis=1), fit.argmax(axis=1)
+            cand = np.isfinite(need[rows]) & np.isfinite(s[rows])
+            evals[rows, j] = np.where(hit, np.cumsum(cand, axis=1)[np.arange(rows.size), x], cand.sum(axis=1))
+            tried[rows, j], decoded[rows, j] = x, hit
+            missed[rows] = ~hit
         rows, x = np.arange(lo, hi), tried[lo:hi, j]
         s_x = s[rows, x]
-
-        def reference(n, x=x.copy()):
-            ev, done = evs[on[lo + n]], tried[lo + n, :j][decoded[lo + n, :j]].tolist()
-            return ev.group_rate((int(x[n]),), set(range(ev.k)).difference(done, (int(x[n]),)))
-
-        decoded[lo:hi, j] = _decide(need[rows, x], -np.log2(s_x), eps, reference)
+        if hi > n_p:
+            walk = rows[n_p - lo :]
+            decoded[walk, j] = _decide(need[walk, x[n_p - lo :]], -np.log2(s_x[n_p - lo :]), eps,
+                                       _reference(evs, on, tried, decoded, walk, j, None))
         # every row's column at x is formed, and kept where it decodes
         col = w[on[lo:hi], :, x] - (c[rows, None, :j, x].conj() @ c[lo:hi, :j])[:, 0]
         col *= (decoded[lo:hi, j] / np.sqrt(s_x))[:, None]
         c[lo:hi, j] = col
         s[lo:hi] -= np.abs(col) ** 2
-        s[rows[: n_s - lo], x[: n_s - lo]] = np.inf
+        s[rows[: n_p - lo], x[: n_p - lo]] = np.inf
 
-    # a step tries `left` aircraft of a search and one of a walk, each against
-    # everyone the row has not decoded but itself
-    left, m = k_on[:, None] - np.arange(kmax), m_on[:, None]
+    # each aircraft tried is charged against everyone the row has not
+    # decoded but itself
     t = k_on[:, None] - 1 - np.cumsum(decoded, axis=1) + decoded
-    cost = np.where(left > 0, np.where(t > 0, m * m * (1 + t) + 2 * m**3, m * m), 0)
-    mults = (cost * np.where(np.arange(len(on))[:, None] < n_s, left, 1)).sum(axis=1)
-    mults[n_s:] += np.where(src >= 0, mults[src], 0)  # a V-BLAST walk's search
-    row_of = {i: n_s + n for n, i in enumerate(walks)}
-    row_of.update((i, searched.index(e)) for i, (e, row, _) in enumerate(problems)
-                  if kinds[i] == VBLAST and row is None)
+    mults = (np.where(left > 0, _single_costs(m_on[:, None], t), 0) * evals).sum(axis=1)
+    mults[n_p:] += np.where(src >= 0, mults[src], 0)  # a V-BLAST walk's search
+    done, mults = [tuple(compress(*row)) for row in zip(tried.tolist(), decoded.tolist())], mults.tolist()
+    row_of = {i: n_p + n for n, i in enumerate(walks)}
+    row_of.update((i, search_row[e]) for i, (e, row, _) in enumerate(problems) if kinds[i] == VBLAST and row is None)
     for i, q in row_of.items():
-        out[i] = (tuple(tried[q][decoded[q]].tolist()), int(mults[q]))
+        out[i] = (done[q], mults[q])
+    for q, (_, e, i) in enumerate(picks):
+        if i >= 0:
+            n = front_of[i]
+            out[i] = _front(evs[e].k, a[e], w[e], c_p[n], c[q], moved[n], done[q], p_mults[n] + mults[q])
     return out
+
+
+def _reference(evs, on, tried, decoded, rows, j, width):
+    """The ``_decide`` fallback of pivot rows ``rows`` at step j: the
+    Cholesky rate of an aircraft against everyone its row has not decoded
+    but itself.  The aircraft is the row's at step j, or with ``width`` the
+    flat index's column in a stack of rows that wide."""
+    x = None if width else tried[rows, j].copy()
+
+    def reference(n):
+        q, y = (rows[n // width], n % width) if width else (rows[n], int(x[n]))
+        ev, done = evs[on[q]], tried[q, :j][decoded[q, :j]].tolist()
+        return ev.group_rate((y,), set(range(ev.k)).difference(done, (y,)))
+
+    return reference
+
+
+def _front(k, a, w, c_p, c, outage, decoded, mults) -> Front:
+    """A ``GREEDY`` problem's ``Front`` on K aircraft off its prune's factor
+    c_p and its greedy SIC's factor c, on its evaluator's stacked a and W."""
+    if k - len(outage) - len(decoded) < 2:
+        return Front(decoded, frozenset(outage), mults)
+    a = a[:k, :k] - c_p[:, :k].T @ c_p[:, :k].conj()
+    a[outage], a[:, outage] = 0.0, 0.0
+    w = w[:k, :k] - c[:, :k].T @ c[:, :k].conj()
+    w[list(decoded)], w[:, list(decoded)] = 0.0, 0.0
+    return Front(decoded, frozenset(outage), mults, a, w)
 
 
 def vblast_order(h, gamma=None, counter=None, walks=None, eps=0.0):

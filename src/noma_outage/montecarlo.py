@@ -14,9 +14,11 @@ channel and rates of K aircraft are the first K columns and entries of the
 largest K's; each trial builds one channel, at the largest K, and every point
 reads a prefix of it.  Consecutive points with the same K share an evaluator.
 The one-at-a-time baselines (ISU and SIC in random, CGTR and V-BLAST order)
-of every point of a trial run first, as one stack of problems in one
-lockstep loop (``decoders.one_at_a_time``, through ``decoders.vblast_order``),
-and each point's run reads its outcomes off that stack.
+and the nested decoders' front (the prune and greedy SIC) of every point of
+a trial run first, as one stack of problems in one lockstep loop
+(``decoders.one_at_a_time``, through ``decoders.vblast_order``), and each
+point's run reads its outcomes off that stack; SSA, LGSA and GSA continue
+from the point's front.
 """
 
 from __future__ import annotations
@@ -123,8 +125,11 @@ def _random_order(cfg: ScenarioConfig, trial_index: int, k: int) -> tuple[int, .
 #: of ``decoders.one_at_a_time``.
 _BASELINES = ("ISU", "SIC_RANDOM", "SIC_CGTR", "SIC_VBLAST")
 
-#: Baseline outcomes found for a sweep trial, kept by evaluator and dropped
-#: with it: {evaluator: {``_key``: DecodeOutcome}}.
+#: The pseudo-name of the nested decoders' front among the baselines.
+_FRONT = "FRONT"
+
+#: Baseline outcomes and fronts found for a sweep trial, kept by evaluator
+#: and dropped with it: {evaluator: {``_key``: DecodeOutcome or Front}}.
 _found: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -144,22 +149,24 @@ def run_algorithms(
     eps: float = 0.0,
 ) -> dict[str, DecodeOutcome]:
     """Run the selected algorithms on one realization; shared evaluator,
-    per-algorithm counters.  The baselines are read off the evaluator's
-    sweep trial stack (``_share_baselines``), or else run as a stack of
-    their own."""
+    per-algorithm counters.  The baselines and the nested decoders' front
+    are read off the evaluator's sweep trial stack (``_share_baselines``),
+    or else run as a stack of their own."""
     keys: dict[str, tuple] = {}
     limits: dict[str, int] = {}
     for token in algorithms:
         name, v_max = parse_algorithm(token)
         if name in ("SSA", "LGSA", "GSA"):
             limits[token] = {"SSA": 0, "LGSA": v_max, "GSA": ev.k}[name]
+            keys[_FRONT] = _key(_FRONT, rates, random_order, eps)
         else:
             keys[token] = _key(name, rates, random_order, eps)
     if not all(key in _found.get(ev, ()) for key in keys.values()):  # a lone point: a stack of one
         _share_baselines([key[0] for key in keys.values()], h, [ev], [0], [rates], [random_order], eps)
     results = {token: _found[ev][key] for token, key in keys.items()}
-    if limits:  # SSA, LGSA:v and GSA read off one run of the nested family
-        results.update(zip(limits, decoders.successive(ev, rates, list(limits.values()), eps)))
+    if limits:  # SSA, LGSA:v and GSA continue from the one front of the nested family
+        front = results.pop(_FRONT)
+        results.update(zip(limits, decoders.from_front(ev, rates, front, list(limits.values()), eps)))
     return results
 
 
@@ -197,7 +204,8 @@ def _sweep_trial(args) -> list[dict[str, tuple[int, int]]]:
     The channel (and, in variable-rate mode, the rate draw) is built once at
     the largest K; a point with K aircraft runs on its first K columns and
     rates, with its own evaluator and random order whenever K changes.  The
-    baselines of every point run first, as one stack (``_share_baselines``).
+    baselines and nested decoders' fronts of every point run first, as one
+    stack (``_share_baselines``).
     Returns per-point {token: (n_decoded, mults)}."""
     cfg, trial_index = args
     points = _sweep_points(cfg)
@@ -214,7 +222,8 @@ def _sweep_trial(args) -> list[dict[str, tuple[int, int]]]:
             evs.append(RateEvaluator(h_max[:, :k], gamma))
         at.append(len(evs) - 1)
     random_orders = [_permutation(order_ss, ev.k) for ev in evs]
-    names = [name for name in (parse_algorithm(tok)[0] for tok in cfg.algorithms) if name in _BASELINES]
+    names = list(dict.fromkeys(name if name in _BASELINES else _FRONT
+                               for name in (parse_algorithm(tok)[0] for tok in cfg.algorithms)))
     if names:
         _share_baselines(names, h_max, evs, at, rates, random_orders)
     out = []
@@ -229,20 +238,23 @@ def _share_baselines(names, h_max, evs, at, rates, random_orders, eps=0.0) -> No
     """Run the baselines ``names`` at every sweep point of a trial, point j
     on evaluator at[j] with rates[j], as one stack of problems, V-BLAST
     searches included, and keep each outcome with its evaluator in
-    ``_found``.  The CGTR orders come from one argsort over the stacked
-    rate rows; each outcome's plan decodes one aircraft per group."""
+    ``_found``.  ``_FRONT`` among the names is the nested decoders' front,
+    kept as the ``decoders.Front`` it is.  The CGTR orders come from one
+    argsort over the stacked rate rows; each baseline outcome's plan decodes
+    one aircraft per group."""
     rows = np.full((len(rates), h_max.shape[1]), np.nan)
     for row, rr in zip(rows, rates):
         row[: len(rr)] = rr
     cgtr = decoders.cgtr_order(h_max, rows) if "SIC_CGTR" in names else [None] * len(rates)
     runs = [(e, name, rr, {"ISU": decoders.ISU, "SIC_RANDOM": random_orders[e], "SIC_CGTR": order,
-                           "SIC_VBLAST": decoders.VBLAST}[name])
+                           "SIC_VBLAST": decoders.VBLAST, _FRONT: decoders.GREEDY}[name])
             for e, rr, order in zip(at, rates, cgtr) for name in names]
     found = decoders.vblast_order(evs, walks=[(e, rr, order) for e, _, rr, order in runs], eps=eps)
-    for (e, name, rr, _), (done, mults) in zip(runs, found):
-        decoded = frozenset(done)
-        outcome = DecodeOutcome(decoded, frozenset(range(evs[e].k)) - decoded, tuple((i,) for i in done), mults)
-        _found.setdefault(evs[e], {})[_key(name, rr, random_orders[e], eps)] = outcome
+    for (e, name, rr, _), got in zip(runs, found):
+        if name != _FRONT:
+            decoded = frozenset(got[0])
+            got = DecodeOutcome(decoded, frozenset(range(evs[e].k)) - decoded, tuple((i,) for i in got[0]), got[1])
+        _found.setdefault(evs[e], {})[_key(name, rr, random_orders[e], eps)] = got
 
 
 def _map_trials(tasks, threads: int) -> list:

@@ -16,11 +16,12 @@ submatrix of I + g H^H H (log-diagonals summed), which stays well-conditioned
 for g ~ 6e14 against |h|^2 ~ 1e-14, and makes the SIC chain rule telescope
 exactly.  This is the reference path.  The decoders read the same rates off
 one eliminated K x K array per loop (see ``decoders``): the Schur complement
-of I + g H^H H on the outage set for the prunes, and for every other loop a
-copy of the full-set inverse ``RateEvaluator.whitened_inverse(range(K))``,
-from which each decoded aircraft is pivoted out (the one-at-a-time
-decoders factor it instead, one column per pivot).  Any decision within
-``decoders.TIE`` of its threshold is taken again on ``group_rate``.
+of I + g H^H H on the outage set for the prunes, and for every other loop
+the full-set inverse ``RateEvaluator.whitened_inverse(range(K))``
+(``whitened_inverses`` for a stack), with each decoded aircraft pivoted
+out (the one-at-a-time loops factor these arrays, one column per pivot).
+Any decision within ``decoders.TIE`` of its threshold is taken again on
+``group_rate``.
 
 The multiplication counter follows the reference cost convention: forming a
 Gram product of v columns costs M^2 v and an M x M inverse or product costs
@@ -167,6 +168,21 @@ def capacity_tables(evs: Sequence[RateEvaluator]) -> np.ndarray:
         for ev, row in zip(todo, table):
             ev._table = row
     return np.stack([ev._table for ev in evs])
+
+
+def whitened_inverses(evs: Sequence[RateEvaluator]) -> list[np.ndarray]:
+    """``whitened_inverse(range(K))`` of each of a stack of evaluators of any
+    K.  The inverses not yet cached are taken together, one batched
+    ``np.linalg.inv`` per K over the stack of their ``a``, and each
+    evaluator keeps its own; each is the lone call's inverse bit for bit."""
+    by_k: dict[int, list[RateEvaluator]] = {}
+    for ev in evs:
+        if tuple(range(ev.k)) not in ev._inv:
+            by_k.setdefault(ev.k, []).append(ev)
+    for k, todo in by_k.items():
+        for ev, inv in zip(todo, np.linalg.inv(np.stack([ev.a for ev in todo]))):
+            ev._inv[tuple(range(k))] = inv
+    return [ev._inv[tuple(range(ev.k))] for ev in evs]
 
 
 def brute_force_eval_count(k: int) -> int:

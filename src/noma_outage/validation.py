@@ -57,7 +57,7 @@ class ValidationReport:
 def random_instance(rng: np.random.Generator, k_max: int = 5, m_choices=(2, 4, 8)):
     """One synthetic instance (H, r, gamma) with feasibility straddled."""
     k = int(rng.integers(2, k_max + 1))
-    m = int(rng.choice(np.asarray(m_choices)))
+    m = int(m_choices[rng.integers(0, len(m_choices))])
     h = (rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))) / np.sqrt(2.0)
     gamma = float(10.0 ** rng.uniform(0.0, 1.5))
     single = np.log2(1.0 + gamma * np.sum(np.abs(h) ** 2, axis=0))
@@ -70,13 +70,6 @@ def random_instance(rng: np.random.Generator, k_max: int = 5, m_choices=(2, 4, 8
 #: the instances of a block that share K.  A constant, so the check arrays
 #: stay bounded for any instance count.
 BLOCK = 128
-
-
-def _run(h, r, gamma, eps):
-    """The nested algorithms on one instance: its evaluator and the SSA,
-    GSA, LGSA:2 and LGSA:4 outcomes of one run."""
-    ev = RateEvaluator(h, gamma)
-    return (ev, *decoders.successive(ev, r, (0, ev.k, 2, 4), eps))
 
 
 def _replay(evs, rows, runs, eps) -> list[list[tuple[str, tuple[int, ...]]]]:
@@ -139,16 +132,21 @@ def _problems(run, isu, failed, best_sic: int, max_set: int) -> list[tuple[str, 
 
 def check_block(instances, mutation_eps: float = 0.0) -> list[tuple[list[tuple[str, str]], int]]:
     """All decoder invariants plus oracle equalities on a block of instances
-    (H, r, gamma).  Each instance's nested algorithms run on their own and
-    ISU on all of them at once; then the plan replays and both oracles are
-    decided at once for all instances of the block with one K.
+    (H, r, gamma).  ISU and the nested algorithms' fronts, the prune and
+    greedy SIC, run for the whole block in one ``one_at_a_time`` call; each
+    instance's SSA, GSA, LGSA:2 and LGSA:4 continue from its front on their
+    own (``from_front``).  Then the plan replays and both oracles are decided
+    at once for all instances of the block with one K.
 
     Per instance, in block order: the list of (kind, detail) violations,
     empty when everything holds, and the size of the oracle's maximum
     decodable set."""
-    runs = [_run(h, r, gamma, mutation_eps) for h, r, gamma in instances]
-    isu = decoders.one_at_a_time([run[0] for run in runs],
-                                 [(i, r, decoders.ISU) for i, (_, r, _) in enumerate(instances)], mutation_eps)
+    evs = [RateEvaluator(h, gamma) for h, _, gamma in instances]
+    found = decoders.one_at_a_time(evs, [(i, r, kind) for kind in (decoders.ISU, decoders.GREEDY)
+                                         for i, (_, r, _) in enumerate(instances)], mutation_eps)
+    isu = found[: len(evs)]
+    runs = [(ev, *decoders.from_front(ev, r, front, (0, ev.k, 2, 4), mutation_eps))
+            for ev, (_, r, _), front in zip(evs, instances, found[len(evs):])]
     failed: list[list] = [[] for _ in runs]
     best_sic, max_set = [0] * len(runs), [0] * len(runs)
     by_k: dict[int, list[int]] = {}

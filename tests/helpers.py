@@ -18,7 +18,7 @@ from noma_outage.geometry import (
     _rect_disc_areas,
     gs_point,
 )
-from noma_outage.rates import RateEvaluator
+from noma_outage.rates import MultCounter, RateEvaluator
 
 
 def direct_group_rate(h, s, t, gamma):
@@ -211,6 +211,79 @@ def ref_check_instance(h, r, gamma, mutation_eps=0.0):
     if not len(res_ssa.decoded) <= len(res_l2.decoded) <= len(res_l4.decoded) <= len(res_gsa.decoded):
         problems.append(("containment", "SSA/LGSA/GSA size chain violated"))
     return problems, len(max_set)
+
+
+def ref_successive(ev, r, limits, eps=0.0):
+    """``decoders.successive`` as it ran before the stacked front: the prune
+    and greedy SIC one row at a time, ``_prune_aircraft`` on a copy of
+    I + gG and the size-one group scan on a copy of the full-set inverse,
+    then the pair prune and the group scans.  Returns the front, as
+    (undetermined set, outage set, plan, mults), the prune's outage set and
+    mults, and one outcome per limit."""
+    rr = np.asarray(r, dtype=float)
+    counter = MultCounter()
+    l_set, s_star, s_hat, plan = set(range(ev.k)), set(), set(), []
+    w = ev.whitened_inverse(range(ev.k)).copy()
+    a = ev.a.copy()
+    decoders._prune_aircraft(ev, a, rr, l_set, s_hat, counter, eps)
+    pruned = (set(s_hat), counter.total)
+    decoders._greedy_group(ev, w, rr, l_set, s_star, s_hat, plan, 1, counter, eps, 1)
+    front = (set(l_set), set(s_hat), list(plan), counter.total)
+    by_limit, v = {}, 0
+    for limit in sorted(set(limits)):
+        if limit >= 1:
+            if not v:
+                decoders._prune_subsets(ev, a, rr, l_set, s_hat, counter, eps)
+                v = 2
+            v = decoders._greedy_group(ev, w, rr, l_set, s_star, s_hat, plan, limit, counter, eps, v)
+        by_limit[limit] = decoders.DecodeOutcome(frozenset(s_star), frozenset(s_hat | l_set), tuple(plan),
+                                                 counter.total)
+    return front, pruned, [by_limit[limit] for limit in limits]
+
+
+def watch_run_starts(monkeypatch) -> list[str]:
+    """Record every call that starts a nested decoder run one row at a
+    time: ``_prune_aircraft`` outside the pair prune's re-entry, a size-one
+    group scan outside ``_greedy_group``, and ``_greedy_group`` from v = 1
+    with aircraft left to scan.  A run that continues from its front starts
+    at the pair prune and scans singletons only after a group hit."""
+    seen: list[str] = []
+    inside = {"_prune_subsets": 0, "_greedy_group": 0}
+
+    def watched(name):
+        inner = getattr(decoders, name)
+
+        def wrapper(*args):
+            if name == "_prune_aircraft" and not inside["_prune_subsets"]:
+                seen.append("prune at a run's start")
+            if name == "_scan_groups_of_size" and args[5] == 1 and not inside["_greedy_group"]:
+                seen.append("size-one scan outside a group search")
+            if name == "_greedy_group" and args[10] == 1 and args[3]:  # from v = 1 with L not empty
+                seen.append("greedy SIC at a run's start")
+            if name in inside:
+                inside[name] += 1
+            try:
+                return inner(*args)
+            finally:
+                if name in inside:
+                    inside[name] -= 1
+
+        monkeypatch.setattr(decoders, name, wrapper)
+
+    for name in ("_prune_aircraft", "_prune_subsets", "_greedy_group", "_scan_groups_of_size"):
+        watched(name)
+    return seen
+
+
+def ref_random_instance(rng, k_max=5, m_choices=(2, 4, 8)):
+    """``validation.random_instance`` as it drew M with ``rng.choice``."""
+    k = int(rng.integers(2, k_max + 1))
+    m = int(rng.choice(np.asarray(m_choices)))
+    h = (rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))) / np.sqrt(2.0)
+    gamma = float(10.0 ** rng.uniform(0.0, 1.5))
+    single = np.log2(1.0 + gamma * np.sum(np.abs(h) ** 2, axis=0))
+    scale = np.where(rng.random(k) < 0.15, 0.02, rng.uniform(0.25, 1.25, size=k))
+    return h, scale * single, gamma
 
 
 def ref_prune_aircraft(ev, r, l_set, s_hat, counter, eps):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
+import helpers
 import noma_outage
 from helpers import config_dict, ref_check_instance
 from noma_outage import decoders
@@ -276,19 +277,39 @@ def test_validate_rejects_non_finite_epsilon(capsys, epsilon):
 
 
 def test_validate_runs_gsa_once_per_instance(monkeypatch):
-    # GSA runs in the one pass of the nested decoders, with SSA, LGSA:2 and LGSA:4
-    calls = []
-    successive = decoders.successive
+    # GSA runs in the one pass of the nested decoders, with SSA, LGSA:2 and
+    # LGSA:4, from the instance's front; the fronts and ISU of a block are
+    # one kernel call
+    kernel, runs = [], []
+    one_at_a_time, from_front = decoders.one_at_a_time, decoders.from_front
 
-    def counted_successive(ev, r, limits, eps=0.0):
-        calls.append(tuple(limits) == (0, ev.k, 2, 4))
-        return successive(ev, r, limits, eps)
+    def counted_one_at_a_time(evs, problems, eps=0.0):
+        kernel.append([(len(evs), e, order) for e, _, order in problems])
+        return one_at_a_time(evs, problems, eps)
 
-    monkeypatch.setattr(decoders, "successive", counted_successive)
-    report = run_validation(seed=3, instances=20)
+    def counted_from_front(ev, r, front, limits, eps=0.0):
+        runs.append(tuple(limits) == (0, ev.k, 2, 4))
+        return from_front(ev, r, front, limits, eps)
+
+    monkeypatch.setattr(decoders, "one_at_a_time", counted_one_at_a_time)
+    monkeypatch.setattr(decoders, "from_front", counted_from_front)
+    starts = helpers.watch_run_starts(monkeypatch)
+    report = run_validation(seed=3, instances=BLOCK + 20)
     assert report.passed
-    assert sum(report.decoded_histogram.values()) == 20
-    assert calls == [True] * 20
+    assert sum(report.decoded_histogram.values()) == BLOCK + 20
+    assert kernel == [[(n, i, order) for order in (decoders.ISU, decoders.GREEDY) for i in range(n)]
+                      for n in (BLOCK, 20)]
+    assert runs == [True] * (BLOCK + 20)
+    assert starts == []
+
+
+def test_random_instance_draws_m_as_choice_did():
+    # M is drawn with ``integers``, which takes the stream ``choice`` did
+    for seed in (0, 4):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2000):
+            for got, want in zip(random_instance(rng), helpers.ref_random_instance(ref)):
+                assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.1, 0.05])

@@ -413,6 +413,64 @@ def test_one_at_a_time_matches_reference_loops(seed, ks, n_rows, eps, twin, ties
         assert one_at_a_time([RateEvaluator(*chans[e])], [(0, row, order)], eps) == [got]
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ks=st.lists(st.integers(1, 8), min_size=1, max_size=4),
+    n_rows=st.integers(1, 3),
+    eps=st.sampled_from([0.0, -0.1, 0.05]),
+    ties=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 7), st.booleans(), st.sampled_from([-1, 0, 1])),
+                  max_size=4),
+)
+# every row an exact tie at its first aircraft against everyone else
+@example(seed=2, ks=[3, 5], n_rows=2, eps=0.0, ties=[(i, 0, True, 0) for i in range(4)])
+def test_fronts_match_reference_start(seed, ks, n_rows, eps, ties):
+    # PRUNE and GREEDY problems on several rows of evaluators of several K,
+    # in a shuffled stack with V-BLAST walks, against the one-row start
+    rng = np.random.default_rng(seed)
+    chans, rows = [], []
+    for e, k in enumerate(ks):
+        h = random_channel(rng, int(rng.integers(1, 9)), k)
+        gamma = float(10.0 ** rng.uniform(0.0, 1.5))
+        chans.append((h, gamma))
+        single = np.log2(1.0 + gamma * np.sum(np.abs(h) ** 2, axis=0))
+        scale = np.where(rng.random((n_rows, k)) < 0.15, 0.02, rng.uniform(0.25, 1.25, size=(n_rows, k)))
+        rows += [(e, row) for row in scale * single]
+    # a rate exactly at, or one ulp either side of, the threshold the prune
+    # meets first (against nobody) or greedy SIC does (against everyone else)
+    for i, x, others, ulp in ties:
+        e, row = rows[i % len(rows)]
+        k = len(row)
+        rest = set(range(k)) - {x % k} if others else ()
+        edge = RateEvaluator(*chans[e]).group_rate((x % k,), rest) + eps
+        row[x % k] = edge if ulp == 0 else np.nextafter(edge, ulp * np.inf)
+    problems = [(e, row, kind) for e, row in rows for kind in (decoders.PRUNE, decoders.GREEDY, decoders.VBLAST)]
+    problems = [problems[i] for i in rng.permutation(len(problems))]
+    evs = [RateEvaluator(*chan) for chan in chans]
+    got = one_at_a_time(evs, problems, eps)
+    for (e, row, kind), res in zip(problems, got):
+        k = len(row)
+        (undetermined, outage, plan, mults), (pruned, pruned_mults), outcomes = helpers.ref_successive(
+            RateEvaluator(*chans[e]), row, (0, k, 2, 4), eps)
+        if kind == decoders.PRUNE:
+            assert len(res[0]) == len(pruned) and set(res[0]) == pruned
+            assert res[1] == pruned_mults
+        elif kind == decoders.GREEDY:
+            assert res.decoded == tuple(i for grp in plan for i in grp)
+            assert res.outage == outage
+            assert set(range(k)) - set(res.decoded) - res.outage == undetermined
+            assert res.mults == mults
+            assert (res.w is None) == (len(undetermined) < 2)
+            assert decoders.from_front(evs[e], row, res, (0, k, 2, 4), eps) == outcomes
+        else:
+            assert res == _reference(*chans[e], row, kind, eps)
+    # and each front alone, a stack of one
+    for e, row in rows:
+        k = len(row)
+        assert decoders.successive(RateEvaluator(*chans[e]), row, (0, k, 2, 4), eps) \
+            == helpers.ref_successive(RateEvaluator(*chans[e]), row, (0, k, 2, 4), eps)[2]
+
+
 def _tie_at(ev, row, order, p, eps, ulp):
     """Set row's rate at order position p exactly at, or one ulp either side
     of, the threshold that position meets when the row is walked alone."""

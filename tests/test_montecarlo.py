@@ -7,6 +7,8 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
+import helpers
+
 from noma_outage import decoders, montecarlo
 from noma_outage.channel import LinkBudget
 from noma_outage.config import ConfigError, ScenarioConfig
@@ -200,21 +202,25 @@ def test_equal_rate_sweep_finds_vblast_order_once_per_trial(monkeypatch):
 
 def test_equal_rate_sweep_walks_each_order_once_per_trial(monkeypatch):
     calls = _counted(monkeypatch, "one_at_a_time")
-    cfg = SMALL.replace(algorithms=("SIC_RANDOM", "SIC_CGTR", "SIC_VBLAST"), r_g_list=(1.0, 3.0, 5.0, 7.0), trials=4)
+    starts = helpers.watch_run_starts(monkeypatch)
+    cfg = SMALL.replace(algorithms=("SIC_RANDOM", "SIC_CGTR", "SIC_VBLAST", "SSA", "GSA"),
+                        r_g_list=(1.0, 3.0, 5.0, 7.0), trials=4)
     rows = run_sweep(cfg)
-    # one kernel call per trial: each baseline's order walked once per r_G row
+    # one kernel call per trial: each baseline's order walked once per r_G
+    # row, and one front per row for SSA and GSA
     assert len(calls) == cfg.trials
     for i, ((evs, walks, _), _) in enumerate(calls):
         h = build_trial_channel(cfg, i).h
         want = {(r_g, order) for r_g in cfg.r_g_list
                 for order in (montecarlo._random_order(cfg, i, 4), decoders.cgtr_order(h, np.full(4, r_g)),
-                              decoders.VBLAST)}
+                              decoders.VBLAST, decoders.GREEDY)}
         got = [(float(row[0]), order if isinstance(order, str) else tuple(order)) for _, row, order in walks]
         assert sorted(got, key=str) == sorted(want, key=str)
+    assert starts == []
     calls.clear()
     _sums_match_lone_trials(cfg, rows)
-    # a lone trial is a stack of one point: one problem per baseline
-    assert {len(walks) for (_, walks, _), _ in calls} == {len(cfg.algorithms)}
+    # a lone trial is a stack of one point: one problem per baseline and a front
+    assert {len(walks) for (_, walks, _), _ in calls} == {4}
 
 
 def test_equal_rate_sweep_decides_isu_once_per_trial(monkeypatch):
@@ -282,19 +288,18 @@ def test_frozen_reflector_map_shared_across_trials():
 
 
 def test_sweep_runs_greedy_sic_once_per_point(monkeypatch):
-    calls = []
-    greedy_group = decoders._greedy_group
-
-    def counted_greedy_group(*args, **kwargs):
-        calls.append(args)
-        return greedy_group(*args, **kwargs)
-
-    monkeypatch.setattr(decoders, "_greedy_group", counted_greedy_group)
+    calls = _counted(monkeypatch, "one_at_a_time")
+    starts = helpers.watch_run_starts(monkeypatch)
     cfg = SMALL.replace(algorithms=("SSA", "LGSA:2", "LGSA:4", "GSA"), r_g_list=(1.0, 4.0, 7.0), trials=3)
-    run_sweep(cfg)
-    # greedy SIC is the size-one group scan: v_max = 1, from v = 1
-    sic_passes = [args for args in calls if (args[7], args[10]) == (1, 1)]
-    assert len(sic_passes) == cfg.trials * len(cfg.r_g_list)
+    rows = run_sweep(cfg)
+    # one kernel call per trial, with one front (prune and greedy SIC) per
+    # point; every run continues from its front
+    assert len(calls) == cfg.trials
+    for (_, walks, _), _ in calls:
+        assert [float(row[0]) for _, row, order in walks] == list(cfg.r_g_list)
+        assert {order for _, _, order in walks} == {decoders.GREEDY}
+    assert starts == []
+    _sums_match_lone_trials(cfg, rows)
 
 
 def test_sweep_trial_derives_its_streams_once():

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import direct_group_rate, random_channel, subset_conditions_hold
 from noma_outage.channel import LinkBudget
-from noma_outage.rates import MultCounter, RateEvaluator, brute_force_eval_count, capacity_tables
+from noma_outage.rates import MultCounter, RateEvaluator, brute_force_eval_count, capacity_tables, whitened_inverses
 
 
 def group_rate(h, s, t, gamma, counter=None):
@@ -167,6 +167,21 @@ def test_stacked_capacity_tables_are_capacity_bit_for_bit(k):
         for size in range(k + 1):
             for s in itertools.combinations(range(k), size):
                 assert table[sum(1 << i for i in s)] == ev.capacity(s), s
+
+
+def test_batched_whitened_inverses_are_lone_inverses_bit_for_bit():
+    # a stack mixing K = 1..12, M < K included, with one inverse cached
+    # before: the stack inverts the others around it, one call per K
+    rng = np.random.default_rng(7)
+    chans = [(random_channel(rng, m, k), float(10.0 ** rng.uniform(-1, 3)))
+             for k in range(1, 13) for m in (max(k // 2, 1), k, 64)]
+    evs = [RateEvaluator(*chan) for chan in chans]
+    alone = evs[5].whitened_inverse(range(evs[5].k))
+    got = whitened_inverses(evs)
+    assert got[5] is alone
+    for ev, chan, inv in zip(evs, chans, got):
+        assert inv is ev.whitened_inverse(range(ev.k))
+        assert np.array_equal(inv, RateEvaluator(*chan).whitened_inverse(range(ev.k)))
 
 
 def test_stacked_capacity_tables_need_one_k():
