@@ -62,10 +62,17 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _out_dir(path: str) -> str:
+    """The directory an output file is written in: its temp file goes there."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK | os.X_OK)):
+        raise ConfigError(f"output directory {directory} is missing or not writable")
+    return directory
+
+
 def _write_atomic(path: str, text: str) -> None:
     # no partial output on failure: write to a sibling temp file, then rename
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=_out_dir(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -97,6 +104,7 @@ def _resolve_config(args) -> ScenarioConfig:
 def cmd_sweep(args) -> int:
     try:
         cfg = _resolve_config(args)
+        _out_dir(args.out)  # before the first trial, not after the last
     except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

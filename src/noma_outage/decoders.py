@@ -538,10 +538,9 @@ ISU = "ISU"
 #: The order of a problem that walks its evaluator's V-BLAST order.
 VBLAST = "V-BLAST"
 #: The order of a problem that moves into outage every aircraft that cannot
-#: reach its rate against the outage set, in passes until one moves nobody.
-PRUNE = "prune"
-#: The order of a problem that prunes, then decodes by greedy SIC, the
-#: lowest-index aircraft that fits first: the nested decoders' ``Front``.
+#: reach its rate against the outage set, in passes until one moves nobody
+#: (``_prune``), then decodes by greedy SIC, the lowest-index aircraft that
+#: fits first: the nested decoders' ``Front``.
 GREEDY = "greedy SIC"
 
 
@@ -605,17 +604,17 @@ def one_at_a_time(evs: Sequence[RateEvaluator], problems, eps=0.0) -> list:
     A problem (e, row, order) is evs[e], a rate row and an order: a
     permutation (SIC in that order, a failed aircraft left interfering),
     ``VBLAST`` (SIC in the order ``vblast_order`` finds on evs[e], or with
-    row None the search alone), ``ISU``, ``PRUNE`` or ``GREEDY``.  Per
-    problem: the aircraft it decodes (moves into outage, for ``PRUNE``), in
-    that order, and the mults of a lone run of it, a V-BLAST walk's search
-    included; a ``GREEDY`` problem gets its ``Front``.  A search, walk or
-    greedy SIC keeps the diagonal s of the Schur complement of W's Hermitian
-    part and a left-looking factor C with one column per pivot: pivoting x
-    at step j makes c = (W[:, x] - C[:, :j] C[x, :j]^H) / sqrt(s_x) and
-    s -= |c|^2, and -log2 s_x is x's rate against everyone not pivoted out.
-    ``PRUNE`` and ``GREEDY`` problems are all pruned first, together
-    (``_prune``).  Each decision goes through ``_decide``; each aircraft
-    tried against t others is charged eval_cost(m, 1, t), in closed form."""
+    row None the search alone), ``ISU`` or ``GREEDY``.  Per problem: the
+    aircraft it decodes, in that order, and the mults of a lone run of it, a
+    V-BLAST walk's search included; a ``GREEDY`` problem gets its ``Front``.
+    A search, walk or greedy SIC keeps the diagonal s of the Schur
+    complement of W's Hermitian part and a left-looking factor C with one
+    column per pivot: pivoting x at step j makes
+    c = (W[:, x] - C[:, :j] C[x, :j]^H) / sqrt(s_x) and s -= |c|^2, and
+    -log2 s_x is x's rate against everyone not pivoted out.  ``GREEDY``
+    problems are all pruned first, together (``_prune``).  Each decision
+    goes through ``_decide``; each aircraft tried against t others is
+    charged eval_cost(m, 1, t), in closed form."""
     out: list = [None] * len(problems)
     kmax = max((ev.k for ev in evs), default=0)
     ks, ms = np.array([ev.k for ev in evs], dtype=np.int64), np.array([ev.m for ev in evs], dtype=np.int64)
@@ -639,7 +638,7 @@ def one_at_a_time(evs: Sequence[RateEvaluator], problems, eps=0.0) -> list:
     # every prune runs to its end before the loop: pruned aircraft fail the
     # greedy test in exact arithmetic but not at ties, so a GREEDY row's
     # candidates are the aircraft its prune leaves, the others at rate inf
-    pruning = [i for i, kind in enumerate(kinds) if kind in (PRUNE, GREEDY)]
+    pruning = [i for i, kind in enumerate(kinds) if kind == GREEDY]
     a = np.zeros((len(evs), kmax, kmax), dtype=complex)
     for e in {problems[i][0] for i in pruning}:
         a[e, : evs[e].k, : evs[e].k] = evs[e].a
@@ -649,16 +648,13 @@ def one_at_a_time(evs: Sequence[RateEvaluator], problems, eps=0.0) -> list:
     gone = (moved[:, :, None] == np.arange(kmax)).any(axis=1)
     need[pruning] = np.where(gone, np.inf, need[pruning])
     moved, p_mults = [[x for x in row if x >= 0] for row in moved.tolist()], p_mults.tolist()
-    for n, i in enumerate(pruning):
-        if kinds[i] == PRUNE:
-            out[i] = (tuple(moved[n]), p_mults[n])
 
     # the problems that pivot, one row each: the rows that pick their
     # aircraft, a search per evaluator a V-BLAST problem is on and each
     # greedy SIC, by their number of steps up, then the walks, by K down,
     # so that the rows whose last step is past step j are the two ends
     searched = list(dict.fromkeys(e for (e, _, _), kind in zip(problems, kinds) if kind == VBLAST))
-    front_of = {i: n for n, i in enumerate(pruning) if kinds[i] == GREEDY}
+    front_of = {i: n for n, i in enumerate(pruning)}
     picks = sorted([(evs[e].k, e, -1) for e in searched]
                    + [(evs[problems[i][0]].k - len(moved[n]), problems[i][0], i) for i, n in front_of.items()],
                    key=lambda p: p[0])
@@ -786,21 +782,20 @@ def vblast_order(h, gamma=None, counter=None, walks=None, eps=0.0):
     return order
 
 
-def cgtr_order(h, r):
+def cgtr_order(h, rows) -> list[tuple[int, ...]]:
     """Channel-gain-and-transmission-rate ordering: decreasing
-    ||h_k||^2 (1 + 1/(2^{r_k} + 1)), ties to the lowest index.  A 2-D ``r``
+    ||h_k||^2 (1 + 1/(2^{r_k} + 1)), ties to the lowest index.  ``rows``
     stacks rate rows, each on the first columns of ``h`` it has rates for
     (NaN after them): one order per row from one stable argsort, each the
     order of that row on those columns alone."""
     hm = np.asarray(h, dtype=complex)
-    rows = np.atleast_2d(np.asarray(r, dtype=float))
+    rows = np.asarray(rows, dtype=float)
     lengths = (~np.isnan(rows)).sum(axis=1)
     keys = np.full(rows.shape, np.nan)  # sorts last
     for k in set(lengths.tolist()):  # gains summed on k columns, as a call on them sums them
         gains = np.sum(np.abs(hm[:, :k]) ** 2, axis=0)
         keys[lengths == k, :k] = gains * (1.0 + 1.0 / (2.0 ** rows[lengths == k, :k] + 1.0))
-    orders = [tuple(o[:k].tolist()) for o, k in zip(np.argsort(-keys, kind="stable"), lengths)]
-    return orders if np.ndim(r) == 2 else orders[0]
+    return [tuple(o[:k].tolist()) for o, k in zip(np.argsort(-keys, kind="stable"), lengths)]
 
 
 # ---------------------------------------------------------------------------
@@ -858,26 +853,13 @@ def _candidates(k: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cand, subset_masks(cand, k), masks ^ ((1 << k) - 1)
 
 
-def _instances(h, r, gamma) -> tuple[list[RateEvaluator], np.ndarray, bool]:
-    """(evaluators, rate rows, whether a stack) of an oracle call: one
-    instance, a channel or evaluator with a rate row, or a stack, a sequence
-    of evaluators with one K and a 2-D array of their rate rows."""
-    rows = np.asarray(r, dtype=float)
-    if rows.ndim == 2:
-        return list(h), rows, True
-    return [_as_evaluator(h, gamma)], rows[None, :], False
-
-
-def oracle_max_set(h, r, gamma, eps=0.0):
-    """Exhaustive maximal decodable set: scan candidate sets by decreasing
-    size (lexicographic within a size) and return the first whose every
-    subset sum-rate fits under the complement's interference.
-
-    A stack of instances (see ``_instances``) gets a list of sets, one per
-    instance: all instances still open are decided at once per size, largest
-    first, and each takes its first fitting candidate at its first size with
-    one."""
-    evs, rows, stacked = _instances(h, r, gamma)
+def oracle_max_set(evs: Sequence[RateEvaluator], rows, eps=0.0) -> list[frozenset]:
+    """Exhaustive maximal decodable set of each of a stack of instances,
+    evaluators with one K and a 2-D array of their rate rows: scan candidate
+    sets by decreasing size (lexicographic within a size) and take the first
+    whose every subset sum-rate fits under the complement's interference.
+    All instances still open are decided at once per size, largest first,
+    and each takes its first fitting candidate at its first size with one."""
     k = evs[0].k
     if k > ORACLE_MAX_SET_LIMIT:
         raise ValueError(f"oracle_max_set limited to K <= {ORACLE_MAX_SET_LIMIT}")
@@ -892,7 +874,7 @@ def oracle_max_set(h, r, gamma, eps=0.0):
             found[i] = frozenset(cand[j].tolist())
         if not (open_ := open_[~hit]).size:
             break
-    return found if stacked else found[0]
+    return found
 
 
 @cache
@@ -905,15 +887,14 @@ def _orders(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return perms, after | bits, after
 
 
-def oracle_best_sic(h, r, gamma, eps=0.0):
-    """Exhaustive SIC-order search under stop-at-first-failure semantics:
-    the decoded set of an order is its longest feasible prefix.  Returns a
-    maximizing order (first found in lexicographic order) and its set.
-    Every order is decided at once: step u decodes perm[u] against the
-    aircraft after it, at C(perm[u:]) - C(perm[u+1:]) off the capacity table.
-    A stack of instances (see ``_instances``) is decided at once too, and
-    gets a list of (order, set), one per instance."""
-    evs, rows, stacked = _instances(h, r, gamma)
+def oracle_best_sic(evs: Sequence[RateEvaluator], rows, eps=0.0) -> list[tuple[tuple[int, ...], frozenset]]:
+    """Exhaustive SIC-order search under stop-at-first-failure semantics, on
+    a stack of instances as ``oracle_max_set`` takes them: the decoded set of
+    an order is its longest feasible prefix.  Per instance, a maximizing
+    order (first found in lexicographic order) and its set.  Every order of
+    every instance is decided at once: step u decodes perm[u] against the
+    aircraft after it, at C(perm[u:]) - C(perm[u+1:]) off the capacity table."""
+    rows = np.asarray(rows, dtype=float)
     k = evs[0].k
     if k > ORACLE_BEST_SIC_LIMIT:
         raise ValueError(f"oracle_best_sic limited to K <= {ORACLE_BEST_SIC_LIMIT}")
@@ -921,6 +902,5 @@ def oracle_best_sic(h, r, gamma, eps=0.0):
     perms, now, after = _orders(k)
     fail = rows[:, perms] > cap[:, now] - cap[:, after] + eps
     n = np.where(fail.any(axis=2), fail.argmax(axis=2), k)
-    found = [(tuple(perms[best].tolist()), frozenset(perms[best, :got].tolist()))
-             for best, got in zip(n.argmax(axis=1).tolist(), n.max(axis=1).tolist())]
-    return found if stacked else found[0]
+    return [(tuple(perms[best].tolist()), frozenset(perms[best, :got].tolist()))
+            for best, got in zip(n.argmax(axis=1).tolist(), n.max(axis=1).tolist())]

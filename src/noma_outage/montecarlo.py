@@ -3,19 +3,22 @@ and outage-probability aggregation.
 
 Every trial owns a random stream derived from (master_seed, trial_index),
 split into independent child streams for aircraft positions, the reflector
-map, rate draws, and the random decoding order, so results are bit-identical
-for any worker count.  All algorithms within a trial see the same channel
-matrix (common random numbers) and share one capacity cache; each carries its
-own multiplication counter.
+map, rate draws, and the random decoding order
+(``SeedSequence((master_seed, trial_index)).spawn(4)``, in that order), so
+results are bit-identical for any worker count.  All algorithms within a
+trial see the same channel matrix (common random numbers) and share one
+capacity cache; each carries its own multiplication counter.
 
-A sweep evaluates every trial at a list of sweep points (K, r_G).  Aircraft
-and variable rates are drawn one after another from their streams, so the
-channel and rates of K aircraft are the first K columns and entries of the
-largest K's; each trial builds one channel, at the largest K, and every point
-reads a prefix of it.  Consecutive points with the same K share an evaluator.
-The one-at-a-time baselines (ISU and SIC in random, CGTR and V-BLAST order)
-and the nested decoders' front (the prune and greedy SIC) of every point of
-a trial run first, as one stack of problems in one lockstep loop
+A trial is evaluated at a list of sweep points (K, r_G) by one trial body,
+``_run_points``: a sweep trial runs it at every point of the sweep, and
+``run_trial`` at one point.  Aircraft and variable rates are drawn one after
+another from their streams, so the channel and rates of K aircraft are the
+first K columns and entries of the largest K's; each trial builds one
+channel, at the largest K, and every point reads a prefix of it.
+Consecutive points with the same K share an evaluator.  The one-at-a-time
+baselines (ISU and SIC in random, CGTR and V-BLAST order) and the nested
+decoders' front (the prune and greedy SIC) of every point of a trial run
+first, as one stack of problems in one lockstep loop
 (``decoders.one_at_a_time``, through ``decoders.vblast_order``), and each
 point's run reads its outcomes off that stack; SSA, LGSA and GSA continue
 from the point's front.
@@ -117,10 +120,6 @@ def _permutation(order_ss: np.random.SeedSequence, k: int) -> tuple[int, ...]:
     return tuple(int(i) for i in np.random.default_rng(order_ss).permutation(k))
 
 
-def _random_order(cfg: ScenarioConfig, trial_index: int, k: int) -> tuple[int, ...]:
-    return _permutation(_trial_seeds(cfg.master_seed, trial_index)[3], k)
-
-
 #: The baselines that decode one aircraft at a time, each run as one problem
 #: of ``decoders.one_at_a_time``.
 _BASELINES = ("ISU", "SIC_RANDOM", "SIC_CGTR", "SIC_VBLAST")
@@ -170,23 +169,6 @@ def run_algorithms(
     return results
 
 
-def run_trial(
-    cfg: ScenarioConfig, trial_index: int, r_g: float | None = None
-) -> dict[str, DecodeOutcome]:
-    """One trial: sample geometry, map and rates, build H once, run every
-    requested algorithm on it.  Deterministic given (config, trial_index)."""
-    chan = build_trial_channel(cfg, trial_index)
-    gamma = LinkBudget.from_config(cfg).snr_linear
-    if cfg.rate_mode == VARIABLE_RATE:
-        rates = draw_variable_rates(cfg, trial_index)
-    else:
-        rates = np.full(cfg.k_aircraft, cfg.r_g_list[0] if r_g is None else float(r_g))
-    ev = RateEvaluator(chan.h, gamma)
-    return run_algorithms(
-        ev, chan.h, rates, gamma, cfg.algorithms, _random_order(cfg, trial_index, cfg.k_aircraft)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
@@ -198,17 +180,16 @@ def _sweep_points(cfg: ScenarioConfig) -> list[tuple[int, float]]:
     return [(int(k), float(cfg.r_g)) for k in cfg.k_list]
 
 
-def _sweep_trial(args) -> list[dict[str, tuple[int, int]]]:
-    """Worker: one trial evaluated at every sweep point.
+def _run_points(cfg: ScenarioConfig, trial_index: int, points) -> list[dict[str, DecodeOutcome]]:
+    """One trial evaluated at the sweep points (K, r_G), in order: per point,
+    {token: DecodeOutcome} of every configured algorithm.
 
     The channel (and, in variable-rate mode, the rate draw) is built once at
     the largest K; a point with K aircraft runs on its first K columns and
     rates, with its own evaluator and random order whenever K changes.  The
     baselines and nested decoders' fronts of every point run first, as one
-    stack (``_share_baselines``).
-    Returns per-point {token: (n_decoded, mults)}."""
-    cfg, trial_index = args
-    points = _sweep_points(cfg)
+    stack (``_share_baselines``); then ``run_algorithms`` runs once per
+    point."""
     cfg_max = cfg.replace(k_aircraft=max(k for k, _ in points))
     h_max = build_trial_channel(cfg_max, trial_index).h
     gamma = LinkBudget.from_config(cfg).snr_linear
@@ -226,12 +207,32 @@ def _sweep_trial(args) -> list[dict[str, tuple[int, int]]]:
                                for name in (parse_algorithm(tok)[0] for tok in cfg.algorithms)))
     if names:
         _share_baselines(names, h_max, evs, at, rates, random_orders)
-    out = []
-    for e, rr in zip(at, rates):
-        ev = evs[e]
-        res = run_algorithms(ev, h_max[:, : ev.k], rr, gamma, cfg.algorithms, random_orders[e])
-        out.append({tok: (o.n_decoded, o.mult_count) for tok, o in res.items()})
-    return out
+    return [run_algorithms(evs[e], h_max[:, : evs[e].k], rr, gamma, cfg.algorithms, random_orders[e])
+            for e, rr in zip(at, rates)]
+
+
+def run_trial(
+    cfg: ScenarioConfig, trial_index: int, r_g: float | None = None
+) -> dict[str, DecodeOutcome]:
+    """One trial at one sweep point: every configured algorithm on the
+    trial's channel at K = ``cfg.k_aircraft``, at r_G = ``r_g`` (by default
+    the first of ``cfg.r_g_list``) in equal-rate mode, on the drawn rates in
+    variable-rate mode.  The sweep's own trial body (``_run_points``), so
+    its outcomes are those of the sweep at that point; deterministic given
+    (config, trial_index)."""
+    if cfg.rate_mode == VARIABLE_RATE:
+        r_g = cfg.r_g
+    elif r_g is None:
+        r_g = cfg.r_g_list[0]
+    return _run_points(cfg, trial_index, [(cfg.k_aircraft, float(r_g))])[0]
+
+
+def _sweep_trial(args) -> list[dict[str, tuple[int, int]]]:
+    """Worker: one trial evaluated at every sweep point (``_run_points``).
+    Returns per-point {token: (n_decoded, mults)}."""
+    cfg, trial_index = args
+    return [{tok: (o.n_decoded, o.mult_count) for tok, o in res.items()}
+            for res in _run_points(cfg, trial_index, _sweep_points(cfg))]
 
 
 def _share_baselines(names, h_max, evs, at, rates, random_orders, eps=0.0) -> None:

@@ -41,7 +41,7 @@ import numpy as np
 
 LOG2E = float(np.log2(np.e))
 
-#: Largest K for which ``RateEvaluator.capacity_table`` holds all 2^K sets.
+#: Largest K for which ``capacity_tables`` holds all 2^K sets.
 TABLE_LIMIT = 12
 
 
@@ -104,13 +104,6 @@ class RateEvaluator:
         self._cap[key] = val
         return val
 
-    def capacity_table(self) -> np.ndarray:
-        """C(A) for every column set A, indexed by the bitmask of A: this
-        evaluator's row of ``capacity_tables``, built once."""
-        if self._table is None:
-            capacity_tables([self])
-        return self._table
-
     def whitened_inverse(self, ids: Sequence[int]) -> np.ndarray:
         """(I + g H_A^H H_A)^{-1} for a column set A, cached.
 
@@ -146,8 +139,9 @@ class RateEvaluator:
 
 
 def capacity_tables(evs: Sequence[RateEvaluator]) -> np.ndarray:
-    """``capacity_table()`` of each of a stack of evaluators with one K, one
-    row each.  The rows not yet built are built together, with one batched
+    """C(A) for every column set A of each of a stack of evaluators with one
+    K, one row each, indexed by the bitmask of A.  Each row is built once:
+    the rows not yet built are built together, with one batched
     Cholesky per set size over the stack of their ``a``, and each evaluator
     keeps its row.  Each entry is ``capacity(A)`` bit for bit: the same
     factor of the same submatrix, and the same sum of log-diagonals."""

@@ -157,17 +157,12 @@ def check_block(instances, mutation_eps: float = 0.0) -> list[tuple[list[tuple[s
         rows = np.array([instances[i][1] for i in idx], dtype=float)
         for i, got in zip(idx, _replay(evs, rows, [runs[i] for i in idx], mutation_eps)):
             failed[i] = got
-        for i, (_, got) in zip(idx, decoders.oracle_best_sic(evs, rows, None)):
+        for i, (_, got) in zip(idx, decoders.oracle_best_sic(evs, rows)):
             best_sic[i] = len(got)
-        for i, got in zip(idx, decoders.oracle_max_set(evs, rows, None)):
+        for i, got in zip(idx, decoders.oracle_max_set(evs, rows)):
             max_set[i] = len(got)
     return [(_problems(run, isu[i][0], failed[i], best_sic[i], max_set[i]), max_set[i])
             for i, run in enumerate(runs)]
-
-
-def check_instance(h, r, gamma, mutation_eps: float = 0.0) -> tuple[list[tuple[str, str]], int]:
-    """``check_block`` on one instance."""
-    return check_block([(h, r, gamma)], mutation_eps)[0]
 
 
 def run_validation(seed: int, instances: int, mutation_eps: float = 0.0) -> ValidationReport:

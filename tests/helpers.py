@@ -178,7 +178,7 @@ def ref_oracle_best_sic(ev, r, eps=0.0):
 
 
 def ref_check_instance(h, r, gamma, mutation_eps=0.0):
-    """``validation.check_instance`` one instance at a time, on the reference
+    """``validation.check_block`` one instance at a time, on the reference
     oracles and a ``group_rate`` replay: (kind, detail) of each violation,
     in check order, and the size of the maximum decodable set."""
     problems = []
@@ -214,31 +214,34 @@ def ref_check_instance(h, r, gamma, mutation_eps=0.0):
 
 
 def ref_successive(ev, r, limits, eps=0.0):
-    """``decoders.successive`` as it ran before the stacked front: the prune
-    and greedy SIC one row at a time, ``_prune_aircraft`` on a copy of
-    I + gG and the size-one group scan on a copy of the full-set inverse,
-    then the pair prune and the group scans.  Returns the front, as
-    (undetermined set, outage set, plan, mults), the prune's outage set and
-    mults, and one outcome per limit."""
+    """``decoders.successive`` on the reference loops, one ``group_rate``
+    per candidate: the prune, greedy SIC, then the pair prune and the group
+    scans, each limited run a prefix of the next.  Returns the front, as
+    (undetermined set, outage set, plan, mults), and one outcome per
+    limit."""
     rr = np.asarray(r, dtype=float)
     counter = MultCounter()
     l_set, s_star, s_hat, plan = set(range(ev.k)), set(), set(), []
-    w = ev.whitened_inverse(range(ev.k)).copy()
-    a = ev.a.copy()
-    decoders._prune_aircraft(ev, a, rr, l_set, s_hat, counter, eps)
-    pruned = (set(s_hat), counter.total)
-    decoders._greedy_group(ev, w, rr, l_set, s_star, s_hat, plan, 1, counter, eps, 1)
+    ref_prune_aircraft(ev, rr, l_set, s_hat, counter, eps)
+    ref_greedy_sic(ev, rr, l_set, s_star, s_hat, plan, counter, eps)
     front = (set(l_set), set(s_hat), list(plan), counter.total)
     by_limit, v = {}, 0
     for limit in sorted(set(limits)):
         if limit >= 1:
             if not v:
-                decoders._prune_subsets(ev, a, rr, l_set, s_hat, counter, eps)
+                ref_prune_subsets(ev, rr, l_set, s_hat, counter, eps)
                 v = 2
-            v = decoders._greedy_group(ev, w, rr, l_set, s_star, s_hat, plan, limit, counter, eps, v)
+            v = ref_greedy_group(ev, rr, l_set, s_star, s_hat, plan, limit, counter, eps, v)
         by_limit[limit] = decoders.DecodeOutcome(frozenset(s_star), frozenset(s_hat | l_set), tuple(plan),
                                                  counter.total)
-    return front, pruned, [by_limit[limit] for limit in limits]
+    return front, [by_limit[limit] for limit in limits]
+
+
+def random_order(cfg, trial_index, k):
+    """A trial's random decoding order of K aircraft, off the documented
+    stream layout: the fourth child of SeedSequence((master_seed, trial))."""
+    order_ss = np.random.SeedSequence((cfg.master_seed, trial_index)).spawn(4)[3]
+    return tuple(int(i) for i in np.random.default_rng(order_ss).permutation(k))
 
 
 def watch_run_starts(monkeypatch) -> list[str]:

@@ -14,12 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import decode_with_order, isu_set
 from noma_outage import decoders
 from noma_outage.channel import LinkBudget
 from noma_outage.cli import main
 from noma_outage.config import ScenarioConfig
-from noma_outage.montecarlo import build_trial_channel, run_sweep
+from noma_outage.montecarlo import build_trial_channel, run_sweep, run_trial
 from noma_outage.rates import RateEvaluator, brute_force_eval_count
 from noma_outage.validation import random_instance
 
@@ -45,30 +44,20 @@ PINNED_BATCH = Path(__file__).parent / "data" / "full-scale-batch.txt"
 
 def _full_scale_worker(args):
     k, r_g, trial_index = args
-    cfg = ScenarioConfig(k_aircraft=k, m_antennas=64, trials=1)
-    chan = build_trial_channel(cfg, trial_index)
-    gamma = LinkBudget.from_config(cfg).snr_linear
-    ev = RateEvaluator(chan.h, gamma)
-    r = np.full(k, r_g)
-    res_ssa = decoders.ssa(ev, r, gamma)
-    order = decoders.vblast_order(ev, gamma)
-    vblast = decode_with_order(ev, r, order, gamma)
-    res_l2 = decoders.lgsa(ev, r, gamma, 2)
-    res_l4 = decoders.lgsa(ev, r, gamma, 4)
-    res_gsa = decoders.gsa(ev, r, gamma)
-    res_lk = decoders.lgsa(ev, r, gamma, k)
-    isu = isu_set(ev, r, gamma)
+    cfg = ScenarioConfig(k_aircraft=k, m_antennas=64, trials=1,
+                         algorithms=("ISU", "SIC_VBLAST", "SSA", "LGSA:2", "LGSA:4", "GSA", f"LGSA:{k}"))
+    res = run_trial(cfg, trial_index, r_g)
     return {
         "k": k,
-        "ssa": tuple(sorted(res_ssa.decoded)),
-        "vblast": tuple(sorted(vblast)),
-        "l2": len(res_l2.decoded),
-        "l4": len(res_l4.decoded),
-        "gsa": tuple(sorted(res_gsa.decoded)),
-        "lk": tuple(sorted(res_lk.decoded)),
-        "lk_outage": tuple(sorted(res_lk.outage)),
-        "gsa_outage": tuple(sorted(res_gsa.outage)),
-        "isu": tuple(sorted(isu)),
+        "ssa": tuple(sorted(res["SSA"].decoded)),
+        "vblast": tuple(sorted(res["SIC_VBLAST"].decoded)),
+        "l2": len(res["LGSA:2"].decoded),
+        "l4": len(res["LGSA:4"].decoded),
+        "gsa": tuple(sorted(res["GSA"].decoded)),
+        "lk": tuple(sorted(res[f"LGSA:{k}"].decoded)),
+        "lk_outage": tuple(sorted(res[f"LGSA:{k}"].outage)),
+        "gsa_outage": tuple(sorted(res["GSA"].outage)),
+        "isu": tuple(sorted(res["ISU"].decoded)),
     }
 
 
@@ -101,7 +90,7 @@ def test_criterion_01_gsa_equals_brute_force_max_set():
     for _ in range(n):
         h, r, gamma = random_instance(rng)
         got = len(decoders.gsa(h, r, gamma).decoded)
-        want = len(decoders.oracle_max_set(h, r, gamma))
+        want = len(decoders.oracle_max_set([RateEvaluator(h, gamma)], [r])[0])
         mismatches += got != want
         partial += 0 < want < h.shape[1]
     elapsed = time.perf_counter() - start
@@ -120,7 +109,7 @@ def test_criterion_02_ssa_equals_factorial_order_oracle():
     for _ in range(n):
         h, r, gamma = random_instance(rng)
         got = len(decoders.ssa(h, r, gamma).decoded)
-        _, best = decoders.oracle_best_sic(h, r, gamma)
+        ((_, best),) = decoders.oracle_best_sic([RateEvaluator(h, gamma)], [r])
         mismatches += got != len(best)
         partial += 0 < len(best) < h.shape[1]
     elapsed = time.perf_counter() - start

@@ -12,7 +12,7 @@ import yaml
 import helpers
 import noma_outage
 from helpers import config_dict, ref_check_instance
-from noma_outage import decoders
+from noma_outage import cli, decoders
 from noma_outage.cli import main, rows_to_csv
 from noma_outage.config import DEFAULT_ALGORITHMS, ConfigError, ScenarioConfig, config_from_dict, load_config
 from noma_outage.montecarlo import run_sweep
@@ -146,9 +146,29 @@ def test_sweep_rejects_empty_algorithm_list(small_config, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_sweep_runtime_failure_exit_code(small_config, tmp_path):
-    missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"
-    assert main(["sweep", "--config", str(small_config), "--out", str(missing_dir)]) == 2
+def test_sweep_runtime_failure_exit_code(small_config, tmp_path, monkeypatch, capsys):
+    def failing_sweep(cfg):
+        raise RuntimeError("trial failed")
+
+    monkeypatch.setattr(cli, "run_sweep", failing_sweep)
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(small_config), "--out", str(out)]) == 2
+    assert "runtime failure: trial failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("parent", ["no/such/dir", "file.txt"])
+def test_sweep_unwritable_out_fails_before_the_first_trial(tmp_path, monkeypatch, capsys, parent):
+    # a missing output directory, or a file where it should be, is a
+    # configuration error found before any trial runs
+    def no_sweep(cfg):
+        raise AssertionError("run_sweep called")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    (tmp_path / "file.txt").write_text("")
+    out = tmp_path / parent / "x.csv"
+    assert main(["sweep", "--preset", "paper-fig5", "--trials", "2", "--out", str(out)]) == 1
+    assert "config error: output directory" in capsys.readouterr().err
 
 
 def test_sweep_overrides_trials_and_seed(small_config, tmp_path):

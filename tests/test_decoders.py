@@ -165,7 +165,7 @@ def test_ssa_matches_factorial_oracle_on_random_instances():
         single = np.log2(1.0 + gamma * np.sum(np.abs(h) ** 2, axis=0))
         r = rng.uniform(0.2, 1.2, size=k) * single
         res = ssa(h, r, gamma)
-        _, best = oracle_best_sic(h, r, gamma)
+        ((_, best),) = oracle_best_sic([RateEvaluator(h, gamma)], [r])
         assert len(res.decoded) == len(best)
         if 0 < len(best) < k:
             nontrivial += 1
@@ -275,7 +275,7 @@ def test_gsa_matches_subset_oracle_on_random_instances():
         single = np.log2(1.0 + gamma * np.sum(np.abs(h) ** 2, axis=0))
         r = rng.uniform(0.25, 1.25, size=k) * single
         res = gsa(h, r, gamma)
-        oracle = oracle_max_set(h, r, gamma)
+        (oracle,) = oracle_max_set([RateEvaluator(h, gamma)], [r])
         assert len(res.decoded) == len(oracle)
         if 0 < len(oracle) < k:
             nontrivial += 1
@@ -425,8 +425,8 @@ def test_one_at_a_time_matches_reference_loops(seed, ks, n_rows, eps, twin, ties
 # every row an exact tie at its first aircraft against everyone else
 @example(seed=2, ks=[3, 5], n_rows=2, eps=0.0, ties=[(i, 0, True, 0) for i in range(4)])
 def test_fronts_match_reference_start(seed, ks, n_rows, eps, ties):
-    # PRUNE and GREEDY problems on several rows of evaluators of several K,
-    # in a shuffled stack with V-BLAST walks, against the one-row start
+    # GREEDY problems on several rows of evaluators of several K, in a
+    # shuffled stack with V-BLAST walks, against the one-row start
     rng = np.random.default_rng(seed)
     chans, rows = [], []
     for e, k in enumerate(ks):
@@ -444,18 +444,15 @@ def test_fronts_match_reference_start(seed, ks, n_rows, eps, ties):
         rest = set(range(k)) - {x % k} if others else ()
         edge = RateEvaluator(*chans[e]).group_rate((x % k,), rest) + eps
         row[x % k] = edge if ulp == 0 else np.nextafter(edge, ulp * np.inf)
-    problems = [(e, row, kind) for e, row in rows for kind in (decoders.PRUNE, decoders.GREEDY, decoders.VBLAST)]
+    problems = [(e, row, kind) for e, row in rows for kind in (decoders.GREEDY, decoders.VBLAST)]
     problems = [problems[i] for i in rng.permutation(len(problems))]
     evs = [RateEvaluator(*chan) for chan in chans]
     got = one_at_a_time(evs, problems, eps)
     for (e, row, kind), res in zip(problems, got):
         k = len(row)
-        (undetermined, outage, plan, mults), (pruned, pruned_mults), outcomes = helpers.ref_successive(
+        (undetermined, outage, plan, mults), outcomes = helpers.ref_successive(
             RateEvaluator(*chans[e]), row, (0, k, 2, 4), eps)
-        if kind == decoders.PRUNE:
-            assert len(res[0]) == len(pruned) and set(res[0]) == pruned
-            assert res[1] == pruned_mults
-        elif kind == decoders.GREEDY:
+        if kind == decoders.GREEDY:
             assert res.decoded == tuple(i for grp in plan for i in grp)
             assert res.outage == outage
             assert set(range(k)) - set(res.decoded) - res.outage == undetermined
@@ -468,7 +465,7 @@ def test_fronts_match_reference_start(seed, ks, n_rows, eps, ties):
     for e, row in rows:
         k = len(row)
         assert decoders.successive(RateEvaluator(*chans[e]), row, (0, k, 2, 4), eps) \
-            == helpers.ref_successive(RateEvaluator(*chans[e]), row, (0, k, 2, 4), eps)[2]
+            == helpers.ref_successive(RateEvaluator(*chans[e]), row, (0, k, 2, 4), eps)[1]
 
 
 def _tie_at(ev, row, order, p, eps, ulp):
@@ -583,14 +580,14 @@ def test_cgtr_equal_rates_sorts_by_gain():
     rng = np.random.default_rng(13)
     h = random_channel(rng, 4, 5)
     gains = np.sum(np.abs(h) ** 2, axis=0)
-    order = cgtr_order(h, np.full(5, 3.0))
+    (order,) = cgtr_order(h, [np.full(5, 3.0)])
     assert list(order) == sorted(range(5), key=lambda k: (-gains[k], k))
 
 
 def test_cgtr_equal_gains_sorts_by_increasing_rate():
     h = np.eye(3, dtype=complex)
     r = np.array([4.0, 1.0, 2.5])
-    assert cgtr_order(h, r) == (1, 2, 0)
+    assert cgtr_order(h, [r]) == [(1, 2, 0)]
 
 
 def test_cgtr_key_values_match_formula():
@@ -599,7 +596,7 @@ def test_cgtr_key_values_match_formula():
     r = rng.uniform(1.0, 5.0, size=4)
     gains = np.sum(np.abs(h) ** 2, axis=0)
     keys = gains * (1.0 + 1.0 / (2.0**r + 1.0))
-    order = cgtr_order(h, r)
+    (order,) = cgtr_order(h, [r])
     assert np.all(np.diff(keys[list(order)]) <= 1e-15)
 
 
@@ -618,7 +615,7 @@ def test_cgtr_order_matches_sorted_definition_with_exact_ties(seed, k, n_gains, 
     r = rng.uniform(1.0, 5.0, size=n_rates)[rng.integers(0, n_rates, size=k)]
     gains = np.sum(np.abs(h) ** 2, axis=0)
     keys = gains * (1.0 + 1.0 / (2.0**r + 1.0))
-    assert cgtr_order(h, r) == tuple(sorted(range(k), key=lambda i: (-keys[i], i)))
+    assert cgtr_order(h, [r]) == [tuple(sorted(range(k), key=lambda i: (-keys[i], i)))]
 
 
 # ---------------------------------------------------------------------------
@@ -686,13 +683,14 @@ def test_isu_rows_match_reference_row_by_row(seed, n_rows, eps, ties):
 
 def test_oracle_max_set_trivial_cases():
     h = random_channel(np.random.default_rng(16), 3, 4)
-    assert oracle_max_set(h, np.zeros(4), 1.0) == frozenset(range(4))
-    assert oracle_max_set(h, np.full(4, 1e9), 1.0) == frozenset()
+    ev = RateEvaluator(h, 1.0)
+    assert oracle_max_set([ev], [np.zeros(4)]) == [frozenset(range(4))]
+    assert oracle_max_set([ev], [np.full(4, 1e9)]) == [frozenset()]
 
 
 def test_oracle_best_sic_two_user_cases():
     h, r, gamma = _near_far_instance()
-    order, decoded = oracle_best_sic(h, r, gamma)
+    ((order, decoded),) = oracle_best_sic([RateEvaluator(h, gamma)], [r])
     assert len(decoded) == 2
     assert order == (0, 1)
     # reversed order dies at the first step under stop-at-failure semantics
@@ -702,10 +700,10 @@ def test_oracle_best_sic_two_user_cases():
 def test_oracle_size_limits_enforced():
     h = random_channel(np.random.default_rng(17), 2, 13)
     with pytest.raises(ValueError):
-        oracle_max_set(h, np.ones(13), 1.0)
+        oracle_max_set([RateEvaluator(h, 1.0)], [np.ones(13)])
     h9 = random_channel(np.random.default_rng(18), 2, 9)
     with pytest.raises(ValueError):
-        oracle_best_sic(h9, np.ones(9), 1.0)
+        oracle_best_sic([RateEvaluator(h9, 1.0)], [np.ones(9)])
 
 
 @pytest.mark.parametrize("k", [1, 5, 7, 8, 12])
@@ -740,9 +738,9 @@ def test_oracles_match_reference_loops(seed, k, eps, ties):
         rest = {i for i in range(k) if mask >> i & 1} - set(group)
         _put_tie(r, group, ev.group_rate(group, rest) + eps, ulp)
     ref = RateEvaluator(h, gamma)
-    assert oracle_max_set(ev, r, gamma, eps) == helpers.ref_oracle_max_set(ref, r, eps)
+    assert oracle_max_set([ev], [r], eps) == [helpers.ref_oracle_max_set(ref, r, eps)]
     if k <= 8:
-        assert oracle_best_sic(ev, r, gamma, eps) == helpers.ref_oracle_best_sic(ref, r, eps)
+        assert oracle_best_sic([ev], [r], eps) == [helpers.ref_oracle_best_sic(ref, r, eps)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -771,8 +769,8 @@ def test_stacked_oracles_match_reference_loops(seed, k, n, eps, ties):
         evs.append(ev)
         rows.append(r)
     rows = np.array(rows)
-    assert oracle_max_set(evs, rows, None, eps) == [helpers.ref_oracle_max_set(ev, r, eps) for ev, r in zip(evs, rows)]
-    assert oracle_best_sic(evs, rows, None, eps) == [helpers.ref_oracle_best_sic(ev, r, eps) for ev, r in zip(evs, rows)]
+    assert oracle_max_set(evs, rows, eps) == [helpers.ref_oracle_max_set(ev, r, eps) for ev, r in zip(evs, rows)]
+    assert oracle_best_sic(evs, rows, eps) == [helpers.ref_oracle_best_sic(ev, r, eps) for ev, r in zip(evs, rows)]
 
 
 # ---------------------------------------------------------------------------

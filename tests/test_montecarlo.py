@@ -212,7 +212,7 @@ def test_equal_rate_sweep_walks_each_order_once_per_trial(monkeypatch):
     for i, ((evs, walks, _), _) in enumerate(calls):
         h = build_trial_channel(cfg, i).h
         want = {(r_g, order) for r_g in cfg.r_g_list
-                for order in (montecarlo._random_order(cfg, i, 4), decoders.cgtr_order(h, np.full(4, r_g)),
+                for order in (helpers.random_order(cfg, i, 4), *decoders.cgtr_order(h, [np.full(4, r_g)]),
                               decoders.VBLAST, decoders.GREEDY)}
         got = [(float(row[0]), order if isinstance(order, str) else tuple(order)) for _, row, order in walks]
         assert sorted(got, key=str) == sorted(want, key=str)
@@ -258,7 +258,7 @@ def test_sweep_random_orders_match_random_order(monkeypatch):
     for t in range(3):
         seen.clear()
         montecarlo._sweep_trial((cfg, t))
-        assert seen == [(k, montecarlo._random_order(cfg, t, k)) for k in cfg.k_list]
+        assert seen == [(k, helpers.random_order(cfg, t, k)) for k in cfg.k_list]
 
 
 def test_fixed_order_rates_outside_the_rows_walk_alone():

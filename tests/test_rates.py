@@ -145,8 +145,10 @@ def test_capacity_table_is_capacity_bit_for_bit(k):
     rng = np.random.default_rng(k)
     for m in sorted({max(k // 2, 1), k, 64}):  # M < K is rank-deficient
         ev = RateEvaluator(random_channel(rng, m, k), float(10.0 ** rng.uniform(-1, 3)))
-        table = ev.capacity_table()
-        assert table.shape == (2**k,) and ev.capacity_table() is table  # built once
+        (table,) = capacity_tables([ev])
+        kept = ev._table
+        assert table.shape == (2**k,) and np.array_equal(capacity_tables([ev])[0], table)
+        assert ev._table is kept  # built once
         for size in range(k + 1):
             for s in itertools.combinations(range(k), size):
                 assert table[sum(1 << i for i in s)] == ev.capacity(s), s
@@ -159,11 +161,13 @@ def test_stacked_capacity_tables_are_capacity_bit_for_bit(k):
     # built alone first, so the stack builds the others around it
     evs = [RateEvaluator(random_channel(rng, m, k), float(10.0 ** rng.uniform(-1, 3)))
            for m in (max(k // 2, 1), k, 64, 3)]
-    alone = evs[2].capacity_table()
+    (alone,) = capacity_tables([evs[2]])
+    kept = evs[2]._table
     tables = capacity_tables(evs)
-    assert tables.shape == (len(evs), 2**k) and evs[2].capacity_table() is alone
+    assert tables.shape == (len(evs), 2**k) and evs[2]._table is kept
+    assert np.array_equal(tables[2], alone)
     for ev, table in zip(evs, tables):
-        assert np.array_equal(ev.capacity_table(), table)
+        assert np.array_equal(capacity_tables([ev])[0], table)
         for size in range(k + 1):
             for s in itertools.combinations(range(k), size):
                 assert table[sum(1 << i for i in s)] == ev.capacity(s), s
@@ -192,7 +196,7 @@ def test_stacked_capacity_tables_need_one_k():
 
 def test_capacity_table_size_limit():
     with pytest.raises(ValueError):
-        RateEvaluator(random_channel(np.random.default_rng(1), 2, 13), 1.0).capacity_table()
+        capacity_tables([RateEvaluator(random_channel(np.random.default_rng(1), 2, 13), 1.0)])
 
 
 # ---------------------------------------------------------------------------
