@@ -79,7 +79,7 @@ class RateEvaluator:
     passed per call, and each decoder run keeps its own.
     """
 
-    def __init__(self, h, gamma: float):
+    def __init__(self, h, gamma: float, a: np.ndarray | None = None):
         h = np.asarray(h, dtype=complex)
         if h.ndim != 2:
             raise ValueError(f"channel matrix must be 2-D, got shape {h.shape}")
@@ -87,7 +87,8 @@ class RateEvaluator:
         self.gamma = float(gamma)
         #: I + g H^H H: every capacity is the log-det of a principal
         #: submatrix, and the decoders' elimination loops start from it.
-        self.a = np.eye(self.k) + self.gamma * (h.conj().T @ h)
+        #: ``evaluators`` passes it in, formed for a stack of channels.
+        self.a = np.eye(self.k) + self.gamma * (h.conj().T @ h) if a is None else a
         self._cap: dict[tuple[int, ...], float] = {(): 0.0}
         self._inv: dict[tuple[int, ...], np.ndarray] = {}
         self._table: np.ndarray | None = None
@@ -136,6 +137,23 @@ class RateEvaluator:
         if len(union) != len(s) + len(t):
             raise ValueError("decode set and interference set must be disjoint")
         return self.capacity(union) - self.capacity(t)
+
+
+def evaluators(hs: Sequence[np.ndarray], gammas: Sequence[float]) -> list[RateEvaluator]:
+    """``RateEvaluator(h, gamma)`` of each of a stack of channel matrices of
+    any shape, with I + g H^H H formed by one stacked product per (M, K);
+    each is the lone evaluator's ``a`` bit for bit."""
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for i, h in enumerate(hs):
+        by_shape.setdefault(h.shape, []).append(i)
+    evs: list = [None] * len(hs)
+    for (_, k), idx in by_shape.items():
+        h = np.stack([hs[i] for i in idx])
+        gamma = np.array([gammas[i] for i in idx], dtype=float)
+        a = np.eye(k) + gamma[:, None, None] * (h.conj().transpose(0, 2, 1) @ h)
+        for i, ai in zip(idx, a):
+            evs[i] = RateEvaluator(hs[i], gammas[i], a=ai)
+    return evs
 
 
 def capacity_tables(evs: Sequence[RateEvaluator]) -> np.ndarray:

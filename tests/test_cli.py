@@ -16,7 +16,8 @@ from noma_outage import cli, decoders
 from noma_outage.cli import main, rows_to_csv
 from noma_outage.config import DEFAULT_ALGORITHMS, ConfigError, ScenarioConfig, config_from_dict, load_config
 from noma_outage.montecarlo import run_sweep
-from noma_outage.validation import BLOCK, random_instance, run_validation
+from noma_outage.rates import RateEvaluator
+from noma_outage.validation import BLOCK, _replay, random_instance, random_instances, run_validation
 
 SMALL_YAML = dict(
     k_aircraft=4,
@@ -330,6 +331,44 @@ def test_random_instance_draws_m_as_choice_did():
         for _ in range(2000):
             for got, want in zip(random_instance(rng), helpers.ref_random_instance(ref)):
                 assert np.array_equal(got, want)
+
+
+def test_random_instances_read_the_stream_as_one_at_a_time():
+    # one pass over a block's generator calls, then its arrays formed per
+    # (M, K): the instances of n one-instance draws, and the stream left
+    # where they leave it
+    for seed in (0, 4):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = random_instances(rng, 5000)
+        for got in drawn:
+            want = helpers.ref_random_instance(ref)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert type(got[2]) is float and got[1].dtype == want[1].dtype and got[0].dtype == want[0].dtype
+        assert rng.random() == ref.random()
+
+
+def test_replay_reports_failing_groups_in_plan_order():
+    # a correct build never fails its replay, so forge SSA and GSA plans
+    # that decode every aircraft, one at a time or in pairs
+    drawn = [inst for inst in random_instances(np.random.default_rng(6), 200) if inst[0].shape[1] == 4][:12]
+    evs = [RateEvaluator(h, gamma) for h, _, gamma in drawn]
+    rows = np.array([r for _, r, _ in drawn])
+    everyone = frozenset(range(4))
+    plans = (((3,), (1,), (0,), (2,)), ((0, 1), (2, 3)), ((2,), (0, 1, 3)))
+    runs, want = [], []
+    for j, ev in enumerate(evs):
+        ssa, gsa = (decoders.DecodeOutcome(everyone, frozenset(), plans[(j + d) % 3], 0) for d in (0, 1))
+        runs.append((ev, ssa, gsa, ssa, ssa))
+        failed = []
+        for name, res in (("SSA", ssa), ("GSA", gsa)):
+            later = set(everyone)
+            for grp in res.decode_plan:
+                later -= set(grp)
+                if not helpers.subset_conditions_hold(ev, rows[j], grp, later):
+                    failed.append((name, grp))
+        want.append(failed)
+    assert _replay(evs, rows, runs, 0.0) == want
+    assert sum(map(len, want)) >= 6 and sum(not got for got in want) >= 1
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.1, 0.05])

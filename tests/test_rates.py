@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import direct_group_rate, random_channel, subset_conditions_hold
+from helpers import direct_group_rate, random_channel, ref_random_instance, subset_conditions_hold
 from noma_outage.channel import LinkBudget
-from noma_outage.rates import MultCounter, RateEvaluator, brute_force_eval_count, capacity_tables, whitened_inverses
+from noma_outage.rates import (MultCounter, RateEvaluator, brute_force_eval_count, capacity_tables, evaluators,
+                               whitened_inverses)
 
 
 def group_rate(h, s, t, gamma, counter=None):
@@ -186,6 +187,24 @@ def test_batched_whitened_inverses_are_lone_inverses_bit_for_bit():
     for ev, chan, inv in zip(evs, chans, got):
         assert inv is ev.whitened_inverse(range(ev.k))
         assert np.array_equal(inv, RateEvaluator(*chan).whitened_inverse(range(ev.k)))
+
+
+def test_stacked_evaluators_are_lone_evaluators_bit_for_bit():
+    # validate's draws, every (M, K) it makes, stacked in draw order: one
+    # product per shape gives each lone evaluator's I + gG, so its capacity
+    # tables and inverse too
+    rng = np.random.default_rng(11)
+    drawn = [ref_random_instance(rng) for _ in range(3000)]
+    got = evaluators([h for h, _, _ in drawn], [gamma for _, _, gamma in drawn])
+    lone = [RateEvaluator(h, gamma) for h, _, gamma in drawn]
+    assert {(ev.m, ev.k) for ev in got} == {(m, k) for m in (2, 4, 8) for k in range(2, 6)}
+    for ev, want in zip(got, lone):
+        assert (ev.m, ev.k, ev.gamma) == (want.m, want.k, want.gamma)
+        assert np.array_equal(ev.a, want.a)
+    assert all(np.array_equal(a, b) for a, b in zip(whitened_inverses(got), whitened_inverses(lone)))
+    for k in range(2, 6):
+        on_k = [i for i, ev in enumerate(lone) if ev.k == k]
+        assert np.array_equal(capacity_tables([got[i] for i in on_k]), capacity_tables([lone[i] for i in on_k]))
 
 
 def test_stacked_capacity_tables_need_one_k():
