@@ -165,8 +165,12 @@ class ScenarioConfig:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if not self.algorithms:
             raise ConfigError("algorithms must name at least one algorithm")
+        seen: dict[tuple, str] = {}  # a sweep writes one row per algorithm and point
         for token in self.algorithms:
-            parse_algorithm(token)
+            key = parse_algorithm(token)
+            if key in seen:
+                raise ConfigError(f"algorithms repeat {seen[key]!r} as {token!r}")
+            seen[key] = token
 
     def replace(self, **changes: Any) -> "ScenarioConfig":
         cfg = dataclasses.replace(self, **changes)

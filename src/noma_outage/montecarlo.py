@@ -4,10 +4,10 @@ and outage-probability aggregation.
 Every trial owns a random stream derived from (master_seed, trial_index),
 split into independent child streams for aircraft positions, the reflector
 map, rate draws, and the random decoding order
-(``SeedSequence((master_seed, trial_index)).spawn(4)``, in that order), so
-results are bit-identical for any worker count.  All algorithms within a
-trial see the same channel matrix (common random numbers) and share one
-capacity cache; each carries its own multiplication counter.
+(``SeedSequence((master_seed, trial_index)).spawn(4)``, in that order).
+All algorithms within a trial see the same channel matrix (common random
+numbers) and share one capacity cache; each carries its own multiplication
+counter.
 
 A trial is evaluated at a list of sweep points (K, r_G) by one trial body,
 ``_run_points``: a sweep trial runs it at every point of the sweep, and
@@ -22,6 +22,11 @@ first, as one stack of problems in one lockstep loop
 (``decoders.one_at_a_time``, through ``decoders.vblast_order``), and each
 point's run reads its outcomes off that stack; SSA, LGSA and GSA continue
 from the point's front.
+
+A sweep trial returns its tally, a flat list of Python ints: (decoded,
+mults) per sweep point and algorithm.  The sweeping process adds each tally
+into one total as it arrives and keeps none; the sum is exact and
+order-free, so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -29,8 +34,10 @@ from __future__ import annotations
 import threading
 import weakref
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from math import sqrt
 from typing import Iterable
 
@@ -96,12 +103,9 @@ def build_trial_geometry(
     """(aircraft, reflector map) of one trial index."""
     pos_ss, map_ss, _, _ = _trial_seeds(cfg.master_seed, trial_index)
     aircraft = scenario_geometry(cfg, np.random.default_rng(pos_ss))
-    if cfg.freeze_reflector_map:
-        frozen_ss = np.random.SeedSequence((cfg.master_seed,))
-        refl = build_reflector_map(cfg, _map_seed(frozen_ss))
-    else:
-        refl = build_reflector_map(cfg, _map_seed(map_ss))
-    return aircraft, refl
+    if cfg.freeze_reflector_map:  # one map for every trial
+        map_ss = np.random.SeedSequence((cfg.master_seed,))
+    return aircraft, build_reflector_map(cfg, _map_seed(map_ss))
 
 
 def build_trial_channel(cfg: ScenarioConfig, trial_index: int) -> ChannelMatrix:
@@ -227,12 +231,12 @@ def run_trial(
     return _run_points(cfg, trial_index, [(cfg.k_aircraft, float(r_g))])[0]
 
 
-def _sweep_trial(args) -> list[dict[str, tuple[int, int]]]:
+def _sweep_trial(args) -> list[int]:
     """Worker: one trial evaluated at every sweep point (``_run_points``).
-    Returns per-point {token: (n_decoded, mults)}."""
+    Returns its tally: (n_decoded, mults) per point, then token, as one list."""
     cfg, trial_index = args
-    return [{tok: (o.n_decoded, o.mult_count) for tok, o in res.items()}
-            for res in _run_points(cfg, trial_index, _sweep_points(cfg))]
+    return [n for res in _run_points(cfg, trial_index, _sweep_points(cfg))
+            for tok in cfg.algorithms for n in (res[tok].n_decoded, res[tok].mult_count)]
 
 
 def _share_baselines(names, h_max, evs, at, rates, random_orders, eps=0.0) -> None:
@@ -258,51 +262,51 @@ def _share_baselines(names, h_max, evs, at, rates, random_orders, eps=0.0) -> No
         _found.setdefault(evs[e], {})[_key(name, rr, random_orders[e], eps)] = got
 
 
-def _map_trials(tasks, threads: int) -> list:
-    """``_sweep_trial`` of every task, in task order, on min(threads, tasks)
-    processes counting this one.
+def _map_trials(cfg: ScenarioConfig) -> list[int]:
+    """The sum of ``_sweep_trial``'s tallies over the trials, each added in
+    as it arrives, on min(threads, trials) processes counting this one.
 
-    With two or more, the one-off loads happen here first, then a pool of
-    the others starts and this process runs trials beside it.  Every process
-    takes the next trial index from one sequence: a worker is handed its
-    next one as soon as it returns one, so none waits on this process's
-    trial.  After a trial raises, no further trial starts, and the error is
+    The one-off loads happen here first; with two or more processes, a pool
+    of the others starts and runs trials beside this one.  Each process takes
+    the next trial index from one sequence, a worker as soon as it returns
+    one.  After a trial raises, no further trial starts, and the error is
     raised once the pool has shut down."""
-    # a pool starts all its workers at the first submit: no more than tasks
-    workers = min(threads, len(tasks))
-    if workers <= 1:
-        return [_sweep_trial(t) for t in tasks]
+    total = [0] * (2 * len(_sweep_points(cfg)) * len(cfg.algorithms))
+    # a pool starts all its workers at the first submit: no more than trials
+    workers = min(cfg.threads, cfg.trials)
     # forked workers inherit these loads; under spawn or forkserver they
     # only warm this process
     import numpy.random  # noqa: F401  (numpy loads it on first use)
 
     _gauss_legendre()
-    results: list = [None] * len(tasks)
     errors: list[BaseException] = []  # once not empty, no trial starts
-    indices = iter(range(len(tasks)))
+    indices = iter(range(cfg.trials))
     lock = threading.Lock()
 
     def take() -> int | None:
         # called under the lock: once an error is recorded, nothing starts
         return None if errors else next(indices, None)
 
+    def add(tally: list[int]) -> None:
+        with lock:
+            total[:] = [a + b for a, b in zip(total, tally)]
+
     def hand_out() -> None:
         with lock:
             i = take()
-            fut = None if i is None else pool.submit(_sweep_trial, tasks[i])
+            fut = None if i is None else pool.submit(_sweep_trial, (cfg, i))
         if fut is not None:
-            fut.add_done_callback(lambda done: collect(i, done))
+            fut.add_done_callback(collect)
 
-    def collect(i: int, done) -> None:
-        err = done.exception()
-        if err is None:
-            results[i] = done.result()
-            hand_out()
+    def collect(done) -> None:
+        if done.exception() is None:
+            add(done.result())
         else:
             with lock:
-                errors.append(err)
+                errors.append(done.exception())
+        hand_out()  # starts none once an error is recorded
 
-    with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+    with ProcessPoolExecutor(max_workers=workers - 1) if workers > 1 else nullcontext() as pool:
         for _ in range(workers - 1):
             hand_out()
         try:
@@ -311,14 +315,14 @@ def _map_trials(tasks, threads: int) -> list:
                     i = take()
                 if i is None:
                     break
-                results[i] = _sweep_trial(tasks[i])
+                add(_sweep_trial((cfg, i)))
         except BaseException as err:
             with lock:
                 errors.append(err)
             raise
     if errors:
         raise errors[0]
-    return results
+    return total
 
 
 def run_sweep(cfg: ScenarioConfig) -> list[SweepRow]:
@@ -327,16 +331,12 @@ def run_sweep(cfg: ScenarioConfig) -> list[SweepRow]:
     The trials run on min(``cfg.threads``, ``cfg.trials``) processes, this
     one included: with two or more, this process forks the others after
     the one-off loads and runs trials beside them (see ``_map_trials``).
-    Aggregation is an order-insensitive integer reduction, so the result is
-    identical for any worker count."""
+    Aggregation is an exact, order-insensitive sum of integer tallies, so
+    the result is identical for any worker count."""
     cfg.validate()
-    per_trial = _map_trials([(cfg, i) for i in range(cfg.trials)], cfg.threads)
-    rows: list[SweepRow] = []
-    for j, (k, r_g) in enumerate(_sweep_points(cfg)):
-        for tok in cfg.algorithms:
-            decoded = sum(res[j][tok][0] for res in per_trial)
-            mults = sum(res[j][tok][1] for res in per_trial)
-            est = OutageEstimate(tok, k, cfg.trials, decoded, mults)
-            rows.append(SweepRow(tok, k, r_g, cfg.rate_mode, est, cfg.master_seed))
+    total = _map_trials(cfg)
+    cells = zip(product(_sweep_points(cfg), cfg.algorithms), total[::2], total[1::2])
+    rows = [SweepRow(tok, k, r_g, cfg.rate_mode, OutageEstimate(tok, k, cfg.trials, n, mults), cfg.master_seed)
+            for ((k, r_g), tok), n, mults in cells]
     rows.sort(key=lambda row: (row.algorithm, row.k, row.r_g))
     return rows

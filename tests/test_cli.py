@@ -147,6 +147,34 @@ def test_sweep_rejects_empty_algorithm_list(small_config, tmp_path, capsys):
     assert not out.exists()
 
 
+def _no_sweep(cfg):
+    raise AssertionError("run_sweep called")
+
+
+@pytest.mark.parametrize("tokens, repeat", [
+    ("SSA,ssa,SSA,LGSA:2,LGSA:02", "'SSA' as 'ssa'"),
+    ("GSA,LGSA:2,ISU,LGSA:02", "'LGSA:2' as 'LGSA:02'"),
+])
+def test_sweep_rejects_a_repeated_algorithm(small_config, tmp_path, monkeypatch, capsys, tokens, repeat):
+    # a sweep writes one row per (algorithm, sweep point): two tokens naming
+    # one algorithm are a configuration error, found before the first trial
+    monkeypatch.setattr(cli, "run_sweep", _no_sweep)
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(small_config), "--out", str(out), "--algorithms", tokens]) == 1
+    assert f"config error: algorithms repeat {repeat}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_rejects_a_repeated_algorithm(tmp_path, monkeypatch, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump({**SMALL_YAML, "algorithms": ["SSA", "LGSA:4", "GSA", "lgsa:4"]}))
+    monkeypatch.setattr(cli, "run_sweep", _no_sweep)
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 1
+    assert "config error: algorithms repeat 'LGSA:4' as 'lgsa:4'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_runtime_failure_exit_code(small_config, tmp_path, monkeypatch, capsys):
     def failing_sweep(cfg):
         raise RuntimeError("trial failed")

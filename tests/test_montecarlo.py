@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import sys
 import time
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -11,6 +12,7 @@ import helpers
 
 from noma_outage import decoders, montecarlo
 from noma_outage.channel import LinkBudget
+from noma_outage.cli import PRESETS
 from noma_outage.config import ConfigError, ScenarioConfig
 from noma_outage.montecarlo import (
     OutageEstimate,
@@ -22,6 +24,7 @@ from noma_outage.montecarlo import (
     run_trial,
 )
 from noma_outage.rates import RateEvaluator
+from noma_outage.validation import check_block
 
 SMALL = ScenarioConfig(
     k_aircraft=4,
@@ -312,13 +315,13 @@ def test_sweep_trial_derives_its_streams_once():
     assert (info.misses, info.hits) == (cfg.trials, 2 * cfg.trials)
 
 
-def test_worker_pool_capped_at_trial_count(monkeypatch):
+@pytest.fixture()
+def serial_pool(monkeypatch):
+    """Replaces the process pool with one that runs each submitted trial
+    in-process at once; returns the list of the sizes of the pools started."""
     started = []
 
     class SerialPool:
-        """Stands in for the process pool: records its size, runs each
-        submitted trial in-process at once."""
-
         def __init__(self, max_workers):
             started.append(max_workers)
 
@@ -334,6 +337,11 @@ def test_worker_pool_capped_at_trial_count(monkeypatch):
             return fut
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    return started
+
+
+def test_worker_pool_capped_at_trial_count(serial_pool):
+    started = serial_pool
     cfg = SMALL.replace(trials=3, threads=16)
     assert run_sweep(cfg) == run_sweep(cfg.replace(threads=1))
     # three processes in all: this one and a pool of two
@@ -341,6 +349,75 @@ def test_worker_pool_capped_at_trial_count(monkeypatch):
     # one trial runs serially, with no pool at all
     assert run_sweep(cfg.replace(trials=1)) == run_sweep(cfg.replace(trials=1, threads=1))
     assert started == [2]
+
+
+def _charging_trial(args):
+    """Stands in for ``_sweep_trial``: a tally that decodes 3 aircraft and
+    charges 2**62 mults at every (sweep point, algorithm)."""
+    cfg, _ = args
+    return [3, 2**62] * (len(montecarlo._sweep_points(cfg)) * len(cfg.algorithms))
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_sweep_mults_stay_exact_past_int64(monkeypatch, serial_pool, threads):
+    # one fig4 point has been charged 5.9e11 mults in a trial: an int64 sum
+    # would wrap after about 1.5e7 such trials
+    monkeypatch.setattr(montecarlo, "_sweep_trial", _charging_trial)
+    rows = run_sweep(SMALL.replace(trials=4, threads=threads))
+    assert serial_pool == ([2] if threads == 3 else [])
+    assert len(rows) == len(SMALL.r_g_list) * len(SMALL.algorithms)
+    for row in rows:
+        assert (row.estimate.decoded_total, row.estimate.mult_total) == (12, 2**64), row
+        assert type(row.estimate.mult_total) is int
+
+
+def _sweep_peak_bytes(cfg) -> int:
+    """The most memory, by tracemalloc, that ``run_sweep(cfg)`` held in this
+    process beyond what was held before it started."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_sweep(cfg)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("threads", [
+    1, pytest.param(2, marks=pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                                reason="the stand-in trial needs forked workers"))])
+def test_sweep_keeps_no_per_trial_results(monkeypatch, threads):
+    # 60 points x 7 algorithms: a tally of 840 ints, 6.8 kB as a list. Kept
+    # per trial, the 180 extra trials would hold 1.2 MB or more; folded into
+    # one total, the peak may move by no more than 64 kB
+    cfg = SMALL.replace(r_g_list=tuple(float(r) for r in range(1, 61)), threads=threads)
+    monkeypatch.setattr(montecarlo, "_sweep_trial", _charging_trial)
+    _sweep_peak_bytes(cfg.replace(trials=20))  # one-off loads
+    few, many = (_sweep_peak_bytes(cfg.replace(trials=n)) for n in (20, 200))
+    assert many - few < 64 * 1024, (few, many)
+
+
+def test_oracles_agree_on_air_ground_channels():
+    # the channel the paper studies: a strong shared line-of-sight path, and
+    # in fig4 equal rates. K = 8 runs the validate contract, K = 12 the
+    # max-set oracle against GSA, on the first columns of one K = 12 channel
+    cases = {8: [], 12: []}
+    for preset, r_gs in (("paper-fig4", {8: (6.0, 9.0, 12.0), 12: (5.0, 8.0, 11.0)}), ("paper-fig5", None)):
+        cfg = ScenarioConfig().replace(**{**PRESETS[preset], "k_aircraft": 12, "master_seed": 5})
+        gamma = LinkBudget.from_config(cfg).snr_linear
+        for t in range(10):
+            h = build_trial_channel(cfg, t).h
+            for k, rows in cases.items():
+                rates = [draw_variable_rates(cfg, t)[:k]] if r_gs is None else [np.full(k, r) for r in r_gs[k]]
+                rows += [(h[:, :k], r, gamma) for r in rates]
+    checked = check_block(cases[8])
+    assert [problems for problems, _ in checked] == [[]] * len(cases[8])
+    assert sum(0 < n < 8 for _, n in checked) >= 10  # the cases straddle feasibility
+    evs = [RateEvaluator(h, gamma) for h, _, gamma in cases[12]]
+    want = decoders.oracle_max_set(evs, np.array([r for _, r, _ in cases[12]]))
+    got = [decoders.gsa(h, r, gamma).decoded for h, r, gamma in cases[12]]
+    assert [len(g) for g in got] == [len(w) for w in want]
+    assert sum(0 < len(w) < 12 for w in want) >= 10
 
 
 REAL_SWEEP_TRIAL = montecarlo._sweep_trial
